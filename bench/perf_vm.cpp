@@ -85,14 +85,13 @@ BENCHMARK(BM_ExecuteDeviceLoop)->Unit(benchmark::kMillisecond);
 
 void BM_ExecuteDispatch(benchmark::State& state) {
   // The dispatch-core ablation behind the CI gate: the same host loop under
-  // the reference switch (0), the function-pointer table (1), and the
-  // token-threaded core (2), each with superinstruction fusion off
-  // (fused:0) or on (fused:1; fast cores only — the reference never
-  // fuses). The acceptance bars are threaded >= 1.5x the reference's
-  // steps/s and fused >= the unfused table core; the `dispatch`/`fused`
-  // counters mirror the args so jq can key on them, the resolved core
-  // name is in the run label, and `fused_sites` proves the fused runs
-  // actually engaged the pass (a zero there would gate a no-op).
+  // the reference switch (0) and the function-pointer table core (1), the
+  // latter with superinstruction fusion off (fused:0) or on (fused:1; the
+  // reference never fuses). The acceptance bars are table >= 1.5x the
+  // reference's steps/s and fused >= the unfused table core; the
+  // `dispatch`/`fused` arg names key the jq selectors, the core name is in
+  // the run label, and `fused_sites` proves the fused run actually engaged
+  // the pass (a zero there would gate a no-op).
   const auto mode = static_cast<vm::DispatchMode>(state.range(0));
   const bool fuse = state.range(1) != 0;
   const auto module = compile_one(kHostLoop);
@@ -113,8 +112,6 @@ BENCHMARK(BM_ExecuteDispatch)
     ->Args({static_cast<int>(vm::DispatchMode::kReference), 0})
     ->Args({static_cast<int>(vm::DispatchMode::kTable), 0})
     ->Args({static_cast<int>(vm::DispatchMode::kTable), 1})
-    ->Args({static_cast<int>(vm::DispatchMode::kThreaded), 0})
-    ->Args({static_cast<int>(vm::DispatchMode::kThreaded), 1})
     ->Unit(benchmark::kMillisecond)
     ->ArgNames({"dispatch", "fused"});
 

@@ -174,7 +174,6 @@ PipelineResult ValidationPipeline::run(
     shards = std::min({shards, hw, std::size_t{8}});
   }
   result.execute_dispatch = vm::dispatch_mode_name(executor_.dispatch_mode());
-  result.execute_fusion = executor_.fusion_enabled();
   result.queue_shards = shards;
 
   // Snapshot the judge client's batcher counters so the run can report the

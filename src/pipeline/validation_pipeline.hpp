@@ -183,14 +183,12 @@ struct PipelineResult {
   /// store rather than this process's own earlier compiles.
   std::uint64_t compile_cache_hits = 0;
   std::uint64_t compile_persisted_hits = 0;
-  /// Resolved VM dispatch core the execute stage ran with ("computed-goto",
-  /// "table", or "reference"; see vm::dispatch_mode_name).
+  /// VM dispatch core the execute stage ran with ("table" or "reference";
+  /// see vm::dispatch_mode_name).
   std::string execute_dispatch;
-  /// Whether the execute stage's VM decode pass fused superinstructions.
-  bool execute_fusion = false;
   /// Superinstruction sites the VM decoder rewrote, summed over every
-  /// module the execute stage ran (0 with fusion off), and the largest
-  /// distinct-pattern count any single module hit.
+  /// module the execute stage ran (0 under the reference core), and the
+  /// largest distinct-pattern count any single module hit.
   std::uint64_t execute_fused_instructions = 0;
   std::uint32_t execute_fusion_patterns = 0;
   /// Lock-striped shards each inter-stage queue ran with this run.

@@ -6,8 +6,7 @@ ExecutionRecord Executor::run(
     const std::shared_ptr<const vm::Module>& module) const {
   ExecutionRecord record;
   if (module == nullptr) return record;
-  const vm::ExecResult result =
-      vm::execute(*module, limits_, dispatch_, fuse_);
+  const vm::ExecResult result = vm::execute(*module, limits_, dispatch_);
   record.ran = true;
   record.return_code = result.return_code;
   record.stdout_text = result.stdout_text;

@@ -15,8 +15,8 @@ struct ExecutionRecord {
   vm::TrapKind trap = vm::TrapKind::kNone;
   std::uint64_t steps = 0;
   /// Superinstruction sites the VM's decode-time fusion pass rewrote for
-  /// this run (0 when fusion is off or the reference core ran) and the
-  /// distinct patterns among them — see docs/ARCHITECTURE.md.
+  /// this run (0 when the reference core ran) and the distinct patterns
+  /// among them — see docs/ARCHITECTURE.md.
   std::uint64_t fused_instructions = 0;
   std::uint32_t fusion_patterns = 0;
 
@@ -26,14 +26,12 @@ struct ExecutionRecord {
 /// Runs compiled modules under the VM with execution budgets.
 class Executor {
  public:
-  /// `dispatch` selects the VM dispatch core (all cores are semantically
-  /// identical; the default is the fastest one this build provides), and
-  /// `fuse` whether its pre-decoder fuses superinstructions (ignored by the
-  /// reference core; the default follows the build's LLM4VV_VM_FUSION).
+  /// `dispatch` selects the VM dispatch core: the fused table core by
+  /// default, or the reference switch (semantically identical; see
+  /// vm::execute).
   explicit Executor(vm::ExecLimits limits = {},
-                    vm::DispatchMode dispatch = vm::default_dispatch_mode(),
-                    bool fuse = vm::default_fusion_enabled())
-      : limits_(limits), dispatch_(dispatch), fuse_(fuse) {}
+                    vm::DispatchMode dispatch = vm::DispatchMode::kTable)
+      : limits_(limits), dispatch_(dispatch) {}
 
   /// Execute a compiled module; a null module yields ran=false.
   ExecutionRecord run(const std::shared_ptr<const vm::Module>& module) const;
@@ -41,13 +39,9 @@ class Executor {
   /// The dispatch core this executor runs modules with.
   vm::DispatchMode dispatch_mode() const noexcept { return dispatch_; }
 
-  /// Whether this executor's VM decode pass fuses superinstructions.
-  bool fusion_enabled() const noexcept { return fuse_; }
-
  private:
   vm::ExecLimits limits_;
   vm::DispatchMode dispatch_;
-  bool fuse_;
 };
 
 }  // namespace llm4vv::toolchain

@@ -50,7 +50,7 @@ enum class Op : std::uint8_t {
 };
 
 /// Number of opcodes — the size of the interpreter's dispatch tables (the
-/// threaded cores index handler arrays by the raw opcode value).
+/// table core indexes its handler array by the raw opcode value).
 inline constexpr std::size_t kOpCount =
     static_cast<std::size_t>(Op::kDevAction) + 1;
 

@@ -8,18 +8,6 @@
 #include "frontend/builtins.hpp"
 #include "vm/runtime.hpp"
 
-// The token-threaded core needs GNU computed goto (`&&label`). It is
-// available on GCC and Clang regardless of -std=c++NN; configuring with
-// -DLLM4VV_VM_DISPATCH=table removes it, so an explicit
-// DispatchMode::kThreaded request degrades to the portable
-// function-pointer-table core (the CI matrix builds that leg so it stays
-// green). The *default* execute core is the table core in every build —
-// see default_dispatch_mode().
-#if !defined(LLM4VV_VM_DISPATCH_TABLE) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define LLM4VV_VM_COMPUTED_GOTO 1
-#endif
-
 namespace llm4vv::vm {
 
 namespace {
@@ -201,8 +189,8 @@ void fuse_chunk(std::vector<DecodedInstr>& out, std::int32_t size,
   }
 }
 
-/// Lower a module's bytecode into the flat handler-index streams the fast
-/// cores execute. Wild jump targets are rebased onto end-of-chunk
+/// Lower a module's bytecode into the flat handler-index streams the table
+/// core executes. Wild jump targets are rebased onto end-of-chunk
 /// sentinels so they trap exactly like the reference loop's fetch bounds
 /// check, line rendering included: a target of exactly `size` renders at
 /// the last instruction's line there (ip - 1 lands in range), while a
@@ -257,12 +245,11 @@ DecodedProgram decode(const Module& module, bool fuse, FusionStats* stats) {
 
 /// Interpreter state shared with the runtime library (see runtime.hpp).
 ///
-/// Three dispatch cores share this machine: the reference `switch` loop
-/// (the behavioural pin), and two cores over the pre-decoded stream — a
-/// portable function-pointer table and a token-threaded computed-goto loop.
-/// The fast cores expand the same interp_ops.inc bodies, so they cannot
-/// drift from each other; drift from the reference is caught by the
-/// differential suite in tests/vm_dispatch_test.cpp.
+/// Two dispatch cores share this machine: the reference `switch` loop (the
+/// behavioural pin), and the function-pointer-table core over the
+/// pre-decoded stream, whose handlers and superinstructions expand the
+/// single-source interp_ops.inc bodies. Drift from the reference is caught
+/// by the differential suite in tests/vm_dispatch_test.cpp.
 class Machine final : public RuntimeHost {
  public:
   Machine(const Module& module, const ExecLimits& limits)
@@ -355,11 +342,11 @@ class Machine final : public RuntimeHost {
     std::vector<Value> slots;
   };
 
-  /// Per-loop cached execution state of the fast cores: the live frame,
+  /// Per-loop cached execution state of the table core: the live frame,
   /// its decoded code stream, the instruction pointer, and register-
   /// friendly copies of the step budget. Re-synced after anything that
   /// changes the frame stack (call/ret). Unlike the reference loop, the
-  /// fast cores do not write frame->ip per instruction — the kCall body
+  /// table core does not write frame->ip per instruction — the kCall body
   /// saves the return address, and trap positions come from
   /// Machine::fast_ins_ (published per fetch) instead.
   struct ExecState {
@@ -386,7 +373,7 @@ class Machine final : public RuntimeHost {
     }
   };
 
-  /// Publishes the fast cores' local step counter back into the machine on
+  /// Publishes the table core's local step counter back into the machine on
   /// every exit path — including a trap unwinding to run()'s catch, which
   /// reads steps_ for the result.
   struct StepsSync {
@@ -435,7 +422,7 @@ class Machine final : public RuntimeHost {
   }
 
   int current_line() const {
-    // Fast cores publish the executing instruction instead of writing
+    // The table core publishes the executing instruction instead of writing
     // frame->ip back on every fetch; its decoded line is the reference
     // loop's code[frame.ip - 1].line.
     if (fast_ins_ != nullptr) return fast_ins_->line;
@@ -591,21 +578,11 @@ class Machine final : public RuntimeHost {
   // -- dispatch cores -------------------------------------------------------
 
   void run_loop(DispatchMode mode) {
-    switch (mode) {
-      case DispatchMode::kReference:
-        run_loop_reference();
-        return;
-      case DispatchMode::kTable:
-        run_loop_table();
-        break;
-      case DispatchMode::kThreaded:
-#if defined(LLM4VV_VM_COMPUTED_GOTO)
-        run_loop_threaded();
-#else
-        run_loop_table();
-#endif
-        break;
+    if (mode == DispatchMode::kReference) {
+      run_loop_reference();
+      return;
     }
+    run_loop_table();
     // Normal completion: stop trap rendering from reading a stale
     // instruction (a later trap outside any loop — e.g. an exhausted frame
     // budget on the main call — must render like the reference). A trap
@@ -633,11 +610,6 @@ class Machine final : public RuntimeHost {
 
   // Handler definitions, one static function per opcode, expanded from the
   // single-source bodies in interp_ops.inc.
-#define VM_RET_EMPTY()  \
-  {                     \
-    s.halted = true;    \
-    return;             \
-  }
 #define VM_OP(NAME, ...)                                \
   static void handler_##NAME(Machine& m, ExecState& s,  \
                              const DecodedInstr* ins) { \
@@ -648,7 +620,6 @@ class Machine final : public RuntimeHost {
   }
 #include "vm/interp_ops.inc"
 #undef VM_OP
-#undef VM_RET_EMPTY
 
   /// Compile-time dispatch from a component opcode to its VM_OP handler —
   /// how a superinstruction reuses the exact single-source bodies above, so
@@ -723,7 +694,7 @@ class Machine final : public RuntimeHost {
                 "one handler per opcode, the end-of-chunk sentinel, and one "
                 "per superinstruction pattern");
 
-  /// Portable fast core: pre-decoded stream + function-pointer table.
+  /// The fast core: pre-decoded stream + function-pointer table.
   void run_loop_table() {
     ExecState s;
     s.enter(*this);
@@ -744,85 +715,6 @@ class Machine final : public RuntimeHost {
       if (fast_ins_ == nullptr) fast_ins_ = ins;
       throw;
     }
-  }
-
-  /// Token-threaded core: every handler call site ends in its own indirect
-  /// jump through the label table, so the branch predictor learns
-  /// per-opcode successor patterns instead of sharing one mispredicting
-  /// dispatch site. GCC's cross-jumping pass would merge those replicated
-  /// indirect jumps back into a single dispatch site — exactly the
-  /// pessimization token threading exists to avoid — so it is disabled
-  /// for this function.
-#if defined(__GNUC__) && !defined(__clang__)
-  __attribute__((optimize("no-crossjumping")))
-#endif
-  void run_loop_threaded() {
-#if defined(LLM4VV_VM_COMPUTED_GOTO)
-    static const void* const kLabels[] = {
-#define VM_OP(NAME, ...) &&label_##NAME,
-#include "vm/interp_ops.inc"
-#undef VM_OP
-        &&label_chunk_end,
-#define VM_FUSE(NAME, ...) &&label_fused_##NAME,
-#include "vm/interp_ops.inc"
-#undef VM_FUSE
-    };
-    static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                      kOpCount + 1 + kFusionPatternCount,
-                  "one label per opcode, the end-of-chunk sentinel, and one "
-                  "per superinstruction pattern");
-
-    Machine& m = *this;
-    ExecState s;
-    s.enter(m);
-    StepsSync sync_guard{m, s};
-    const DecodedInstr* ins = nullptr;
-
-#define VM_DISPATCH()                                  \
-  do {                                                 \
-    ins = s.pc++;                                      \
-    if (++s.steps > s.max_steps) [[unlikely]] {        \
-      m.step_trap(s, ins);                             \
-    }                                                  \
-    goto* kLabels[ins->handler];                       \
-  } while (0)
-
-    try {
-      VM_DISPATCH();
-
-      // Call-threaded: each label calls the shared outlined handler and
-      // re-dispatches from its own site. Inlining all ~50 bodies into this
-      // one function measurably loses to the outlined handlers' codegen
-      // (register pressure), so the labels deliberately call.
-#define VM_OP(NAME, ...)     \
-  label_##NAME:              \
-  handler_##NAME(m, s, ins); \
-  if (s.halted) return;      \
-  VM_DISPATCH();
-// Superinstruction labels: fused sequences never halt (kRet is not a legal
-// component), so they skip the halt check and re-dispatch directly.
-#define VM_FUSE(NAME, ...)               \
-  label_fused_##NAME:                    \
-  handler_fused<__VA_ARGS__>(m, s, ins); \
-  VM_DISPATCH();
-#include "vm/interp_ops.inc"
-#undef VM_OP
-#undef VM_FUSE
-
-    label_chunk_end:
-      handler_chunk_end(m, s, ins);
-    } catch (...) {
-      // Publish the trapping instruction for line rendering only on the
-      // unwind path, keeping the fetch free of per-instruction stores. A
-      // superinstruction that trapped mid-sequence already published the
-      // precise component; fast_ins_ is null during normal execution.
-      if (m.fast_ins_ == nullptr) m.fast_ins_ = ins;
-      throw;
-    }
-#undef VM_DISPATCH
-#else
-    run_loop_table();
-#endif
   }
 
   /// The original per-instruction switch decode loop, kept verbatim as the
@@ -1039,43 +931,21 @@ class Machine final : public RuntimeHost {
   std::uint64_t steps_ = 0;
   int device_depth_ = 0;
   std::uint64_t rand_state_ = 0x5eed5eed5eed5eedULL;
-  /// Decoded streams of the fast cores (unused in reference mode).
+  /// Decoded streams of the table core (unused in reference mode).
   DecodedProgram decoded_storage_;
   const DecodedProgram* decoded_ = nullptr;
-  /// Instruction a fast core is currently executing; consulted by
+  /// Instruction the table core is currently executing; consulted by
   /// current_line() so trap messages render the reference-identical
   /// position without the loops writing frame->ip back on every fetch.
   const DecodedInstr* fast_ins_ = nullptr;
 };
 
-bool threaded_dispatch_is_computed_goto() noexcept {
-#if defined(LLM4VV_VM_COMPUTED_GOTO)
-  return true;
-#else
-  return false;
-#endif
-}
-
-DispatchMode default_dispatch_mode() noexcept {
-  return DispatchMode::kTable;
-}
-
 const char* dispatch_mode_name(DispatchMode mode) noexcept {
   switch (mode) {
     case DispatchMode::kReference: return "reference";
     case DispatchMode::kTable: return "table";
-    case DispatchMode::kThreaded:
-      return threaded_dispatch_is_computed_goto() ? "computed-goto" : "table";
   }
   return "?";
-}
-
-bool default_fusion_enabled() noexcept {
-#if defined(LLM4VV_VM_FUSION_OFF)
-  return false;
-#else
-  return true;
-#endif
 }
 
 std::size_t fusion_pattern_count() noexcept { return kFusionPatternCount; }
@@ -1094,15 +964,6 @@ Op fusion_pattern_component(std::size_t pattern, std::size_t index) noexcept {
     return Op::kNop;
   }
   return kFusionPatterns[pattern].ops[index];
-}
-
-ExecResult execute(const Module& module, const ExecLimits& limits) {
-  return execute(module, limits, default_dispatch_mode());
-}
-
-ExecResult execute(const Module& module, const ExecLimits& limits,
-                   DispatchMode mode) {
-  return execute(module, limits, mode, default_fusion_enabled());
 }
 
 ExecResult execute(const Module& module, const ExecLimits& limits,

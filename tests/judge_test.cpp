@@ -93,9 +93,14 @@ TEST(PromptTest, BuildPromptDispatchesAndValidates) {
 // ---------------------------------------------------------------------------
 
 struct VerdictCase {
+  const char* name;
   std::string completion;
   Verdict expected;
 };
+
+// Prints the case name. Without it gtest dumps the object's bytes, heap
+// pointer included, and the discovered ctest names change on every build.
+void PrintTo(const VerdictCase& c, std::ostream* os) { *os << c.name; }
 
 class VerdictParseTest : public ::testing::TestWithParam<VerdictCase> {};
 
@@ -106,21 +111,32 @@ TEST_P(VerdictParseTest, ParsesExpectedVerdict) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, VerdictParseTest,
     ::testing::Values(
-        VerdictCase{"blah\nFINAL JUDGEMENT: valid\n", Verdict::kValid},
-        VerdictCase{"FINAL JUDGEMENT: invalid", Verdict::kInvalid},
-        VerdictCase{"FINAL JUDGEMENT: correct", Verdict::kValid},
-        VerdictCase{"FINAL JUDGEMENT: incorrect", Verdict::kInvalid},
-        VerdictCase{"final judgement:   VALID", Verdict::kValid},
-        VerdictCase{"Final Judgement:\ninvalid", Verdict::kInvalid},
-        VerdictCase{"FINAL JUDGMENT: valid (US spelling)", Verdict::kValid},
-        VerdictCase{"FINAL JUDGEMENT: \"invalid\"", Verdict::kInvalid},
+        VerdictCase{"valid_after_preamble",
+                    "blah\nFINAL JUDGEMENT: valid\n", Verdict::kValid},
+        VerdictCase{"invalid", "FINAL JUDGEMENT: invalid",
+                    Verdict::kInvalid},
+        VerdictCase{"correct_means_valid", "FINAL JUDGEMENT: correct",
+                    Verdict::kValid},
+        VerdictCase{"incorrect_means_invalid", "FINAL JUDGEMENT: incorrect",
+                    Verdict::kInvalid},
+        VerdictCase{"case_and_spacing_ignored", "final judgement:   VALID",
+                    Verdict::kValid},
+        VerdictCase{"verdict_on_next_line", "Final Judgement:\ninvalid",
+                    Verdict::kInvalid},
+        VerdictCase{"us_spelling", "FINAL JUDGMENT: valid (US spelling)",
+                    Verdict::kValid},
+        VerdictCase{"quoted_verdict", "FINAL JUDGEMENT: \"invalid\"",
+                    Verdict::kInvalid},
         // The last phrase wins when the model restates itself.
-        VerdictCase{"FINAL JUDGEMENT: valid ... on reflection\n"
+        VerdictCase{"last_phrase_wins",
+                    "FINAL JUDGEMENT: valid ... on reflection\n"
                     "FINAL JUDGEMENT: invalid",
                     Verdict::kInvalid},
-        VerdictCase{"no protocol phrase at all", Verdict::kUnparseable},
-        VerdictCase{"FINAL JUDGEMENT: maybe?", Verdict::kUnparseable},
-        VerdictCase{"", Verdict::kUnparseable}));
+        VerdictCase{"no_protocol_phrase", "no protocol phrase at all",
+                    Verdict::kUnparseable},
+        VerdictCase{"unknown_verdict_word", "FINAL JUDGEMENT: maybe?",
+                    Verdict::kUnparseable},
+        VerdictCase{"empty_completion", "", Verdict::kUnparseable}));
 
 TEST(VerdictTest, FuzzedCompletionsNeverThrow) {
   support::Rng rng(123);

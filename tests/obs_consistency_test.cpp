@@ -131,16 +131,10 @@ void assert_registry_matches(const ObsRun& run) {
             double(result.execute_stage.rejected));
   EXPECT_EQ(metric(m, "pipeline.execute.fused_instructions"),
             double(result.execute_fused_instructions));
-  // The default executor follows the build's fusion default; with fusion on
-  // a corpus this size always contains fusable sequences.
-  EXPECT_EQ(result.execute_fusion, vm::default_fusion_enabled());
-  if (result.execute_fusion) {
-    EXPECT_GT(result.execute_fused_instructions, 0u);
-    EXPECT_GT(result.execute_fusion_patterns, 0u);
-  } else {
-    EXPECT_EQ(result.execute_fused_instructions, 0u);
-    EXPECT_EQ(result.execute_fusion_patterns, 0u);
-  }
+  // The default executor fuses, and a corpus this size always contains
+  // fusable sequences.
+  EXPECT_GT(result.execute_fused_instructions, 0u);
+  EXPECT_GT(result.execute_fusion_patterns, 0u);
   EXPECT_EQ(metric(m, "pipeline.judge.processed"),
             double(result.judge_stage.processed));
   EXPECT_EQ(metric(m, "pipeline.judge.rejected"),

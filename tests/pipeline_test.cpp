@@ -452,7 +452,7 @@ TEST(PipelineTest, ExecuteTelemetryReportsDispatchAndShards) {
                                   core::make_simulated_client(2));
   const auto result = pipe.run(files);
   EXPECT_EQ(result.execute_dispatch,
-            vm::dispatch_mode_name(vm::default_dispatch_mode()));
+            vm::dispatch_mode_name(vm::DispatchMode::kTable));
   EXPECT_GE(result.queue_shards, 1u);
   EXPECT_LE(result.queue_shards, 8u);
 }
@@ -513,7 +513,7 @@ TEST(PipelineTest, ReferenceDispatchExecutorMatchesFastCore) {
   const auto files = files_of(probed);
   std::vector<PipelineResult> results;
   for (const auto mode :
-       {vm::default_dispatch_mode(), vm::DispatchMode::kReference}) {
+       {vm::DispatchMode::kTable, vm::DispatchMode::kReference}) {
     auto judge = std::make_shared<const judge::Llmj>(
         core::make_simulated_client(2), llm::PromptStyle::kAgentDirect);
     PipelineConfig config;

@@ -270,8 +270,13 @@ TEST(CsvTest, RowWidthEnforced) {
 }
 
 struct CsvRoundTripCase {
+  const char* name;
   std::vector<std::string> row;
 };
+
+// Prints the case name. Without it gtest dumps the vector's bytes, heap
+// pointers included, and the discovered ctest names change on every build.
+void PrintTo(const CsvRoundTripCase& c, std::ostream* os) { *os << c.name; }
 
 class CsvRoundTripTest : public ::testing::TestWithParam<CsvRoundTripCase> {};
 
@@ -286,11 +291,14 @@ TEST_P(CsvRoundTripTest, WriteThenParseIsIdentity) {
 INSTANTIATE_TEST_SUITE_P(
     TrickyFields, CsvRoundTripTest,
     ::testing::Values(
-        CsvRoundTripCase{{"a", "b", "c"}},
-        CsvRoundTripCase{{"with,comma", "with\"quote", "with\nnewline"}},
-        CsvRoundTripCase{{"", "", ""}},
-        CsvRoundTripCase{{" leading", "trailing ", "\"quoted\""}},
-        CsvRoundTripCase{{"multi\nline\ntext", ",", "\""}}));
+        CsvRoundTripCase{"plain", {"a", "b", "c"}},
+        CsvRoundTripCase{"comma_quote_newline",
+                         {"with,comma", "with\"quote", "with\nnewline"}},
+        CsvRoundTripCase{"all_empty", {"", "", ""}},
+        CsvRoundTripCase{"edge_spaces_and_quoted",
+                         {" leading", "trailing ", "\"quoted\""}},
+        CsvRoundTripCase{"multiline_and_lone_specials",
+                         {"multi\nline\ntext", ",", "\""}}));
 
 // ---------------------------------------------------------------------------
 // JSONL

@@ -1,11 +1,10 @@
-// Differential test of the VM dispatch cores: the pre-decoded fast cores
-// (function-pointer table and computed-goto threaded), with superinstruction
-// fusion both on and off, must be byte-identical to the pinned reference
-// switch interpreter — outputs, traps, return codes, and exact step
-// accounting — over hand-written programs, generated + probed corpora, and
-// randomized raw bytecode modules (1000+ by default; seed and count are env
-// overridable so CI failures reproduce locally, and any mismatch prints a
-// self-contained reproducer with the module dump).
+// Differential test of the VM dispatch cores: the pre-decoded table core,
+// with superinstruction fusion both on and off, must be byte-identical to
+// the pinned reference switch interpreter — outputs, traps, return codes,
+// and exact step accounting — over hand-written programs, generated +
+// probed corpora, and randomized raw bytecode modules (1000+ by default;
+// seed and count are env overridable so CI failures reproduce locally, and
+// any mismatch prints a self-contained reproducer with the module dump).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,9 +24,6 @@
 namespace llm4vv::vm {
 namespace {
 
-constexpr DispatchMode kFastModes[] = {DispatchMode::kTable,
-                                       DispatchMode::kThreaded};
-
 void expect_identical(const ExecResult& ref, const ExecResult& got,
                       DispatchMode mode, bool fuse, const std::string& what) {
   const std::string context = what + " [" + dispatch_mode_name(mode) +
@@ -45,15 +41,13 @@ void expect_identical(const ExecResult& ref, const ExecResult& got,
 }
 
 /// The full differential matrix for one module: the reference core is the
-/// oracle; every fast core runs with fusion both off and on.
+/// oracle; the table core runs with fusion both off and on.
 void diff_module(const Module& module, const ExecLimits& limits,
                  const std::string& what) {
   const ExecResult ref = execute_reference(module, limits);
-  for (const DispatchMode mode : kFastModes) {
-    for (const bool fuse : {false, true}) {
-      expect_identical(ref, execute(module, limits, mode, fuse), mode, fuse,
-                       what);
-    }
+  for (const bool fuse : {false, true}) {
+    expect_identical(ref, execute(module, limits, DispatchMode::kTable, fuse),
+                     DispatchMode::kTable, fuse, what);
   }
 }
 
@@ -179,7 +173,7 @@ TEST(VmDispatchDiffTest, BudgetTraps) {
 }
 
 // The step budget must trap on the same instruction in every core — sweep
-// the budget across the end-of-chunk boundary, where the fast cores'
+// the budget across the end-of-chunk boundary, where the table core's
 // sentinel accounting has to undo the speculatively charged step.
 TEST(VmDispatchDiffTest, StepBudgetBoundaryExact) {
   Module module;
@@ -427,7 +421,7 @@ TEST(VmDispatchDiffTest, EmptyMainChunk) {
 }
 
 // ---------------------------------------------------------------------------
-// Superinstruction fusion boundaries. The fast cores may fuse hot
+// Superinstruction fusion boundaries. The table core may fuse hot
 // pairs/triples at decode time, but never across a jump target landing in
 // the interior of a sequence, and step accounting must stay exact: a
 // budget trap inside a fused handler has to land on the precise component
@@ -642,17 +636,18 @@ TEST(VmFusionTest, EveryPatternTrapsOnEveryComponentLine) {
 TEST(VmDispatchTest, ModeNamesAndDefault) {
   EXPECT_STREQ(dispatch_mode_name(DispatchMode::kReference), "reference");
   EXPECT_STREQ(dispatch_mode_name(DispatchMode::kTable), "table");
-  if (threaded_dispatch_is_computed_goto()) {
-    EXPECT_STREQ(dispatch_mode_name(DispatchMode::kThreaded),
-                 "computed-goto");
-  } else {
-    EXPECT_STREQ(dispatch_mode_name(DispatchMode::kThreaded), "table");
-  }
-  EXPECT_EQ(default_dispatch_mode(), DispatchMode::kTable);
-  // The 3-arg execute overload follows the build-time fusion default.
+  // execute() with no other arguments runs the fused table core.
   const Module module = pattern_module(pattern_program("PushConstStoreSlot"));
-  const ExecResult implicit = execute(module, {}, DispatchMode::kTable);
-  EXPECT_EQ(implicit.fused_instructions > 0, default_fusion_enabled());
+  const ExecResult implicit = execute(module);
+  const ExecResult fused = execute(module, {}, DispatchMode::kTable, true);
+  EXPECT_EQ(implicit.return_code, fused.return_code);
+  EXPECT_EQ(implicit.stdout_text, fused.stdout_text);
+  EXPECT_EQ(implicit.stderr_text, fused.stderr_text);
+  EXPECT_EQ(implicit.trap, fused.trap);
+  EXPECT_EQ(implicit.steps, fused.steps);
+  EXPECT_EQ(implicit.fused_instructions, fused.fused_instructions);
+  EXPECT_EQ(implicit.fusion_patterns, fused.fusion_patterns);
+  EXPECT_GT(implicit.fused_instructions, 0u);
 }
 
 }  // namespace
