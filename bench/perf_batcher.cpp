@@ -73,7 +73,6 @@ void BM_PipelineAdaptiveBatch(benchmark::State& state) {
 
   double gpu_seconds = 0.0;
   double formed_occupancy_sum = 0.0;
-  double chunk_occupancy_sum = 0.0;
   std::uint64_t formed_batches = 0;
   std::uint64_t flush_full = 0;
   std::uint64_t flush_window = 0;
@@ -81,17 +80,13 @@ void BM_PipelineAdaptiveBatch(benchmark::State& state) {
   for (auto _ : state) {
     const auto result = pipe.run(files);
     gpu_seconds += result.judge_gpu_seconds;
-    formed_occupancy_sum += result.judge_batch_occupancy;
-    chunk_occupancy_sum +=
-        result.judge_batches == 0
-            ? 0.0
-            : static_cast<double>(result.judge_batched_prompts) /
-                  static_cast<double>(result.judge_batches);
-    formed_batches += result.judge_formed_batches;
-    flush_full += result.judge_flush_full;
-    flush_window += result.judge_flush_window;
+    const llm::ClientStats& client_run = result.judge_client;
+    formed_occupancy_sum += client_run.batch_occupancy();
+    formed_batches += client_run.formed_batches;
+    flush_full += client_run.flush_full;
+    flush_window += client_run.flush_window;
     queue_depth_peak =
-        std::max(queue_depth_peak, result.judge_queue_depth_peak);
+        std::max(queue_depth_peak, client_run.pending_high_water);
     benchmark::DoNotOptimize(result.records.data());
   }
   const auto runs = static_cast<double>(state.iterations());
@@ -100,8 +95,6 @@ void BM_PipelineAdaptiveBatch(benchmark::State& state) {
   state.counters["sim_gpu_s_per_run"] = gpu_seconds / runs;
   /// Mean prompts per forward pass the batcher actually formed.
   state.counters["formed_occupancy"] = formed_occupancy_sum / runs;
-  /// The old per-worker popped-chunk occupancy, for comparison.
-  state.counters["chunk_occupancy"] = chunk_occupancy_sum / runs;
   state.counters["formed_batches_per_run"] =
       static_cast<double>(formed_batches) / runs;
   state.counters["flush_full_per_run"] =

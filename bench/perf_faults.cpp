@@ -109,10 +109,10 @@ void BM_PipelineFaults(benchmark::State& state) {
             .count();
     for (const auto& record : result.records) judged += record.judged;
     errors += result.judge_errors;
-    retries_spent += result.judge_retries;
-    timeouts += result.judge_timeouts;
-    shed += result.judge_shed;
-    breaker_opens += result.breaker_opens;
+    retries_spent += result.judge_client.retries;
+    timeouts += result.judge_client.timeouts;
+    shed += result.judge_client.pending_shed;
+    breaker_opens += result.judge_client.breaker_opens;
     benchmark::DoNotOptimize(result.records.data());
   }
   const auto iterations = static_cast<double>(state.iterations());

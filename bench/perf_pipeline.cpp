@@ -150,8 +150,8 @@ void BM_PipelineJudgeBatch(benchmark::State& state) {
   for (auto _ : state) {
     const auto result = pipe.run(files);
     gpu_seconds += result.judge_gpu_seconds;
-    batches += result.judge_batches;
-    batched_prompts += result.judge_batched_prompts;
+    batches += result.judge_client.batches;
+    batched_prompts += result.judge_client.batched_prompts;
     benchmark::DoNotOptimize(result.records.data());
   }
   state.SetItemsProcessed(

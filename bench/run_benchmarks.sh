@@ -128,17 +128,15 @@ if command -v jq >/dev/null 2>&1; then
   jq -r '
     .benchmarks[]
     | select(.name | startswith("BM_PipelineAdaptiveBatch"))
-    | "\(.name): formed_occupancy \(.formed_occupancy * 100 | floor / 100)" +
-      " (chunk \(.chunk_occupancy * 100 | floor / 100)), " +
+    | "\(.name): formed_occupancy \(.formed_occupancy * 100 | floor / 100), " +
       "sim_gpu \(.sim_gpu_s_per_run * 100 | floor / 100) s/run, " +
       "wall \(.real_time * 100 | floor / 100) ms"
   ' "${script_dir}/BENCH_batcher.json"
 
   # Cross-worker batch-formation guard: with several judge workers and
   # per-item arrivals, the T=200 us wait window must form strictly fuller
-  # forward passes than both the T=0 formed baseline and the static
-  # per-worker popped-chunk occupancy at the same load — and the fuller
-  # passes must not cost more simulated GPU time. If this fails, the
+  # forward passes than the T=0 formed baseline at the same load — and the
+  # fuller passes must not cost more simulated GPU time. If this fails, the
   # adaptive batcher silently stopped coalescing across workers.
   jq -e '
     ([.benchmarks[]
@@ -147,7 +145,6 @@ if command -v jq >/dev/null 2>&1; then
       | select(.name == "BM_PipelineAdaptiveBatch/window_us:200")][0]) as $t |
     $t.formed_batches_per_run > 0
       and $t.formed_occupancy > $t0.formed_occupancy
-      and $t.formed_occupancy > $t0.chunk_occupancy
       and $t.sim_gpu_s_per_run <= $t0.sim_gpu_s_per_run * 1.001
   ' "${script_dir}/BENCH_batcher.json" > /dev/null || {
     echo "error: adaptive batcher not forming cross-worker batches at" \

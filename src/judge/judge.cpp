@@ -26,13 +26,11 @@ using support::hash_mix;
 /// Parse a finished model call into the decision's verdict fields. Every
 /// path — blocking, batched, asynchronous — goes through here, which is
 /// what keeps their verdicts byte-for-byte identical by construction.
-void finish_decision(JudgeDecision& decision, llm::Completion completion,
-                     bool batched) {
+void finish_decision(JudgeDecision& decision, llm::Completion completion) {
   decision.completion = std::move(completion);
   decision.verdict = parse_verdict(decision.completion.text);
   decision.says_valid =
       verdict_says_valid(decision.verdict, /*fallback=*/false);
-  decision.batched = batched;
 }
 
 // ---------------------------------------------------------------------------
@@ -151,7 +149,6 @@ struct JudgeFuture::State {
   // kOwner:
   llm::CompletionFuture completion;
   bool publish_on_resolve = false;  ///< owns a claimed in-flight key
-  bool batched = false;             ///< submitted via the batch API
   // kFollower:
   std::shared_ptr<State> leader;
   // kPeerWait (referents owned by the submitting caller):
@@ -184,7 +181,7 @@ struct JudgeFuture::State {
           break;  // decision filled at submission time
         case Kind::kOwner: {
           llm::Completion value = completion.get();
-          finish_decision(decision, std::move(value), batched);
+          finish_decision(decision, std::move(value));
           if (publish_on_resolve) {
             judge->publish(key, content_hash, decision);
             publish_on_resolve = false;
@@ -201,7 +198,6 @@ struct JudgeFuture::State {
           }
           decision = leader->decision;
           decision.cached = true;
-          decision.batched = false;  // a copy, not a submission
           judge->duplicate_misses_.fetch_add(1, std::memory_order_relaxed);
           break;
         }
@@ -311,7 +307,7 @@ void Llmj::warm_load() {
         shard.entries.emplace(
             key, CacheEntry{content_hash, std::move(decision), true});
         shard.order.push_back(key);
-        ++warm_loaded_;
+        warm_loaded_.fetch_add(1, std::memory_order_relaxed);
       });
 }
 
@@ -356,8 +352,7 @@ JudgeDecision Llmj::evaluate_uncached(const frontend::SourceFile& file,
 
   llm::GenerationParams params;
   params.seed = seed;
-  finish_decision(decision, client_->complete(decision.prompt, params),
-                  /*batched=*/false);
+  finish_decision(decision, client_->complete(decision.prompt, params));
   return decision;
 }
 
@@ -370,7 +365,6 @@ Llmj::Probe Llmj::probe_or_claim(std::uint64_t key,
   if (it != shard.entries.end() && it->second.content_hash == content_hash) {
     out = it->second.decision;
     out.cached = true;
-    out.batched = false;  // a copy, not a submission
     out.persisted = it->second.persisted;
     if (it->second.persisted) {
       persisted_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -435,7 +429,6 @@ JudgeDecision Llmj::wait_for(std::uint64_t key, std::uint64_t content_hash,
       duplicate_misses_.fetch_add(1, std::memory_order_relaxed);
       JudgeDecision decision = it->second.decision;
       decision.cached = true;
-      decision.batched = false;  // a copy, not a submission
       decision.persisted = it->second.persisted;
       return decision;
     }
@@ -482,7 +475,6 @@ JudgeFuture Llmj::evaluate_async(const JudgeRequest& request,
   switch (probe_or_claim(key, content_hash, state->decision)) {
     case Probe::kHit:
       hits_.fetch_add(1, std::memory_order_relaxed);
-      async_immediate_.fetch_add(1, std::memory_order_relaxed);
       state->kind = JudgeFuture::State::Kind::kReady;
       state->resolved = true;
       return JudgeFuture(std::move(state));
@@ -534,7 +526,6 @@ std::vector<JudgeFuture> Llmj::evaluate_async_many(
     prompts.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       states[i]->kind = JudgeFuture::State::Kind::kOwner;
-      states[i]->batched = true;
       states[i]->decision.prompt = build_prompt(
           style_, *batch[i].file, batch[i].compile, batch[i].exec);
       prompts.push_back(states[i]->decision.prompt);
@@ -571,7 +562,6 @@ std::vector<JudgeFuture> Llmj::evaluate_async_many(
     switch (probe_or_claim(key, content_hash, state.decision)) {
       case Probe::kHit:
         hits_.fetch_add(1, std::memory_order_relaxed);
-        async_immediate_.fetch_add(1, std::memory_order_relaxed);
         state.kind = JudgeFuture::State::Kind::kReady;
         state.resolved = true;
         break;
@@ -586,7 +576,6 @@ std::vector<JudgeFuture> Llmj::evaluate_async_many(
         state.key = key;
         state.content_hash = content_hash;
         state.publish_on_resolve = true;
-        state.batched = true;
         batch_leader.emplace(key, i);
         miss_indices.push_back(i);
         break;
@@ -645,39 +634,20 @@ std::vector<JudgeDecision> Llmj::evaluate_many(
 
 JudgeCacheStats Llmj::cache_stats() const noexcept {
   JudgeCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.duplicate_misses =
-      duplicate_misses_.load(std::memory_order_relaxed);
-  stats.persisted_hits = persisted_hits_.load(std::memory_order_relaxed);
-  stats.warm_loaded = warm_loaded_;
-  stats.async_items = async_items_.load(std::memory_order_relaxed);
-  stats.async_immediate = async_immediate_.load(std::memory_order_relaxed);
+#define LLM4VV_LOAD(name) stats.name = name##_.load(std::memory_order_relaxed);
+  LLM4VV_JUDGE_CACHE_STATS(LLM4VV_LOAD)
+#undef LLM4VV_LOAD
   return stats;
 }
 
 void Llmj::register_metrics(obs::Registry& registry,
                             const std::string& prefix) const {
-  const auto probe = [&registry, this, &prefix](const char* name,
-                                                auto field) {
-    registry.register_probe(prefix + "." + name, [this, field] {
-      return static_cast<double>(field(cache_stats()));
-    });
-  };
-  probe("hits", [](const JudgeCacheStats& s) { return s.hits; });
-  probe("misses", [](const JudgeCacheStats& s) { return s.misses; });
-  probe("evictions", [](const JudgeCacheStats& s) { return s.evictions; });
-  probe("duplicate_misses",
-        [](const JudgeCacheStats& s) { return s.duplicate_misses; });
-  probe("persisted_hits",
-        [](const JudgeCacheStats& s) { return s.persisted_hits; });
-  probe("warm_loaded",
-        [](const JudgeCacheStats& s) { return s.warm_loaded; });
-  probe("async_items",
-        [](const JudgeCacheStats& s) { return s.async_items; });
-  probe("async_immediate",
-        [](const JudgeCacheStats& s) { return s.async_immediate; });
+#define LLM4VV_PROBE(name)                               \
+  registry.register_probe(prefix + "." #name, [this] {   \
+    return static_cast<double>(cache_stats().name);      \
+  });
+  LLM4VV_JUDGE_CACHE_STATS(LLM4VV_PROBE)
+#undef LLM4VV_PROBE
 }
 
 void Llmj::clear_cache() {

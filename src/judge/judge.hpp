@@ -27,11 +27,6 @@ struct JudgeDecision {
   /// True when this decision was served from the memoization cache (no
   /// prompt assembly, no model call, no simulated GPU time spent).
   bool cached = false;
-  /// True when this decision's model call rode the batch submission API
-  /// (an evaluate_many / evaluate_async_many miss). False for sequential
-  /// calls and for copies served from the cache or in-flight dedup — the
-  /// pipeline's chunk accounting counts exactly the batched submissions.
-  bool batched = false;
   /// True when the serving cache entry was warm-loaded from a persistent
   /// artifact store: a previous process run paid for the model call.
   /// Implies `cached`.
@@ -63,31 +58,43 @@ struct JudgeCacheConfig {
   std::shared_ptr<cache::ArtifactStore> store;
 };
 
+/// Every counter of the memoization cache, declared once (see
+/// LLM4VV_CLIENT_STATS for the idiom). X(name) generates the
+/// JudgeCacheStats member, Llmj's atomic `name_` and its load in
+/// cache_stats(), the probe in Llmj::register_metrics and the check in
+/// tests/obs_consistency_test.cpp. What each counts:
+///
+///   hits — items served from the cache; resolved at submission time,
+///     without touching the batcher.
+///   misses — items that assembled a prompt and queried the model.
+///   evictions — entries dropped by the FIFO capacity bound.
+///   duplicate_misses — items that missed the cache but were served by
+///     piggybacking on a computation already in flight: a concurrent
+///     worker judging the same key, or an earlier copy of the key inside
+///     the same batch. Before in-flight dedup these were thundering-herd
+///     misses that each paid a full simulated GPU call.
+///   persisted_hits — subset of hits served by entries warm-loaded from
+///     the persistent artifact store: cross-run savings, as opposed to
+///     in-process ones.
+///   warm_loaded — decisions decoded from the store at construction.
+///   async_items — items that entered the asynchronous core (everything
+///     does: the blocking entry points wrap evaluate_async[_many]).
+#define LLM4VV_JUDGE_CACHE_STATS(X)                                  \
+  X(hits)                                                            \
+  X(misses)                                                          \
+  X(evictions)                                                       \
+  X(duplicate_misses)                                                \
+  X(persisted_hits)                                                  \
+  X(warm_loaded)                                                     \
+  X(async_items)
+
 /// Counters of the memoization cache (monotonic over the Llmj's lifetime).
 /// hits + misses + duplicate_misses equals the number of items served
 /// while the cache was enabled.
 struct JudgeCacheStats {
-  std::uint64_t hits = 0;
-  /// Items that actually assembled a prompt and queried the model.
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  /// Items that missed the cache but were served by piggybacking on a
-  /// computation already in flight — a concurrent worker judging the same
-  /// key, or an earlier copy of the key inside the same batch. Before
-  /// in-flight dedup these were thundering-herd misses that each paid a
-  /// full simulated GPU call.
-  std::uint64_t duplicate_misses = 0;
-  /// Subset of `hits` served by entries warm-loaded from the persistent
-  /// artifact store: cross-run savings, as opposed to in-process ones.
-  std::uint64_t persisted_hits = 0;
-  /// Decisions decoded from the store at construction (warm start size).
-  std::uint64_t warm_loaded = 0;
-  /// Items that entered the asynchronous core (everything does: the
-  /// blocking entry points are wrappers over evaluate_async[_many]).
-  std::uint64_t async_items = 0;
-  /// Subset of `async_items` whose future was already resolved when the
-  /// submission returned — cache hits that never touched the batcher.
-  std::uint64_t async_immediate = 0;
+#define LLM4VV_STAT_MEMBER(name) std::uint64_t name = 0;
+  LLM4VV_JUDGE_CACHE_STATS(LLM4VV_STAT_MEMBER)
+#undef LLM4VV_STAT_MEMBER
 };
 
 /// One item of a batched or asynchronous evaluation. Agent styles require
@@ -206,10 +213,10 @@ class Llmj {
   /// Snapshot of the memoization counters.
   JudgeCacheStats cache_stats() const noexcept;
 
-  /// Re-register the memoization counters into a metrics registry as
-  /// scrape-time probes under `prefix` ("<prefix>.hits", ...). Probes read
-  /// cache_stats(), so registry values equal the legacy snapshot fields by
-  /// construction. The judge must outlive the registration.
+  /// Register the memoization counters into a metrics registry as
+  /// scrape-time probes under `prefix`, one per LLM4VV_JUDGE_CACHE_STATS
+  /// entry ("<prefix>.hits", ...). Probes read cache_stats(): the registry
+  /// stores nothing. The judge must outlive the registration.
   void register_metrics(obs::Registry& registry,
                         const std::string& prefix) const;
 
@@ -294,14 +301,9 @@ class Llmj {
   std::size_t shard_mask_ = 0;
   std::size_t shard_capacity_ = 0;
   mutable std::vector<std::unique_ptr<CacheShard>> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> evictions_{0};
-  mutable std::atomic<std::uint64_t> duplicate_misses_{0};
-  mutable std::atomic<std::uint64_t> persisted_hits_{0};
-  mutable std::atomic<std::uint64_t> async_items_{0};
-  mutable std::atomic<std::uint64_t> async_immediate_{0};
-  std::uint64_t warm_loaded_ = 0;  ///< set once in the constructor
+#define LLM4VV_STAT_ATOMIC(name) mutable std::atomic<std::uint64_t> name##_{0};
+  LLM4VV_JUDGE_CACHE_STATS(LLM4VV_STAT_ATOMIC)
+#undef LLM4VV_STAT_ATOMIC
 };
 
 }  // namespace llm4vv::judge

@@ -85,6 +85,27 @@ struct ModelClient::FlushTally {
 // ClientStats
 // ---------------------------------------------------------------------------
 
+ClientStats ClientStats::since(const ClientStats& before) const noexcept {
+  ClientStats window = *this;
+#define LLM4VV_SUB(type, name) window.name -= before.name;
+#define LLM4VV_KEEP(type, name)
+#define LLM4VV_SUB_HIST(member, metric, buckets, label) \
+  for (std::size_t i = 0; i < buckets; ++i) {           \
+    window.member[i] -= before.member[i];               \
+  }
+  LLM4VV_CLIENT_STATS(LLM4VV_SUB, LLM4VV_KEEP, LLM4VV_SUB_HIST)
+#undef LLM4VV_SUB
+#undef LLM4VV_KEEP
+#undef LLM4VV_SUB_HIST
+  return window;
+}
+
+double ClientStats::batch_occupancy() const noexcept {
+  return batches == 0 ? 0.0
+                      : static_cast<double>(batched_prompts) /
+                            static_cast<double>(batches);
+}
+
 std::size_t ClientStats::occupancy_bucket(std::size_t batch) noexcept {
   if (batch <= 1) return 0;
   if (batch == 2) return 1;
@@ -864,56 +885,22 @@ std::vector<Transcript> ModelClient::transcripts() const {
 
 void ModelClient::register_metrics(obs::Registry& registry,
                                    const std::string& prefix) const {
-  // Every probe snapshots stats() at scrape time: the registry reads the
-  // same locked copy the legacy accessors hand out, so the two can never
-  // drift (asserted by tests/obs_consistency_test.cpp). Scrapes are cold
-  // path; the per-field stats() calls are deliberate simplicity.
-  const auto probe = [&registry, this, &prefix](
-                         const char* name, auto field) {
-    registry.register_probe(prefix + "." + name, [this, field] {
-      return static_cast<double>(field(stats()));
-    });
-  };
-  probe("requests", [](const ClientStats& s) { return s.requests; });
-  probe("prompt_tokens",
-        [](const ClientStats& s) { return s.prompt_tokens; });
-  probe("completion_tokens",
-        [](const ClientStats& s) { return s.completion_tokens; });
-  probe("gpu_seconds", [](const ClientStats& s) { return s.gpu_seconds; });
-  probe("batches", [](const ClientStats& s) { return s.batches; });
-  probe("batched_prompts",
-        [](const ClientStats& s) { return s.batched_prompts; });
-  probe("max_batch", [](const ClientStats& s) { return s.max_batch; });
-  probe("formed_batches",
-        [](const ClientStats& s) { return s.formed_batches; });
-  probe("flush_immediate",
-        [](const ClientStats& s) { return s.flush_immediate; });
-  probe("flush_full", [](const ClientStats& s) { return s.flush_full; });
-  probe("flush_window", [](const ClientStats& s) { return s.flush_window; });
-  probe("pending_high_water",
-        [](const ClientStats& s) { return s.pending_high_water; });
-  probe("retries", [](const ClientStats& s) { return s.retries; });
-  probe("failed_requests",
-        [](const ClientStats& s) { return s.failed_requests; });
-  probe("timeouts", [](const ClientStats& s) { return s.timeouts; });
-  probe("pending_shed", [](const ClientStats& s) { return s.pending_shed; });
-  probe("batch_splits", [](const ClientStats& s) { return s.batch_splits; });
-  probe("breaker_opens",
-        [](const ClientStats& s) { return s.breaker_opens; });
-  probe("breaker_rejected",
-        [](const ClientStats& s) { return s.breaker_rejected; });
-  for (std::size_t i = 0; i < ClientStats::kOccupancyBuckets; ++i) {
-    registry.register_probe(
-        prefix + ".occupancy", ClientStats::occupancy_bucket_label(i),
-        [this, i] { return static_cast<double>(stats().occupancy_hist[i]); });
+  // Every probe snapshots stats() at scrape time, so the registry reads the
+  // same locked copy stats() hands out. Scrapes are cold path; the
+  // per-probe stats() calls are deliberate simplicity.
+#define LLM4VV_PROBE(type, name)                          \
+  registry.register_probe(prefix + "." #name, [this] {    \
+    return static_cast<double>(stats().name);             \
+  });
+#define LLM4VV_PROBE_HIST(member, metric, buckets, label)                 \
+  for (std::size_t i = 0; i < buckets; ++i) {                             \
+    registry.register_probe(prefix + "." #metric, label(i), [this, i] {   \
+      return static_cast<double>(stats().member[i]);                      \
+    });                                                                   \
   }
-  for (std::size_t i = 0; i < ClientStats::kRetryLatencyBuckets; ++i) {
-    registry.register_probe(
-        prefix + ".retry_latency", ClientStats::retry_latency_bucket_label(i),
-        [this, i] {
-          return static_cast<double>(stats().retry_latency_hist[i]);
-        });
-  }
+  LLM4VV_CLIENT_STATS(LLM4VV_PROBE, LLM4VV_PROBE, LLM4VV_PROBE_HIST)
+#undef LLM4VV_PROBE
+#undef LLM4VV_PROBE_HIST
 }
 
 }  // namespace llm4vv::llm

@@ -120,82 +120,121 @@ enum class FlushReason {
   kWindow,     ///< the oldest pending request's wait window elapsed
 };
 
-/// Aggregate statistics of an inference endpoint.
-struct ClientStats {
-  std::uint64_t requests = 0;
-  std::uint64_t prompt_tokens = 0;
-  std::uint64_t completion_tokens = 0;
-  /// Sum of simulated per-call latencies — "GPU seconds" of the modelled
-  /// A100 node, the currency the validation pipeline saves by filtering
-  /// files before the LLM stage.
-  double gpu_seconds = 0.0;
-  /// Batched forward passes: flushes that carried two or more prompts, or
-  /// whose requests arrived through the batch submission API
-  /// (submit_many / complete_many). A lone complete()/submit() flush is a
-  /// plain request, not a batch.
-  std::uint64_t batches = 0;
-  /// Prompts that went through those batched passes (also counted in
-  /// `requests`, which covers both paths).
-  std::uint64_t batched_prompts = 0;
-  /// Largest single batch submitted so far.
-  std::uint64_t max_batch = 0;
+/// Every ClientStats statistic, declared once, in the higher-order-macro
+/// style of flint's CPPLINT_FORALL_* lists (vm/interp_ops.inc does the
+/// same for opcodes). The caller passes one macro per kind:
+///
+///   COUNTER(type, name)  monotonic; a window over a run is after - before
+///   PEAK(type, name)     high-water mark; it cannot be windowed, so a
+///                        window keeps the later value
+///   HIST(member, metric, buckets, label)
+///                        fixed-bucket histogram, windowed bucket by
+///                        bucket and probed as "<prefix>.<metric>" with
+///                        label(bucket) as the sample label
+///
+/// The list generates ClientStats' members, ClientStats::since(), the
+/// probes of ModelClient::register_metrics and the checks of
+/// tests/obs_consistency_test.cpp. What each statistic counts:
+///
+///   requests, prompt_tokens, completion_tokens — successfully served
+///     requests and their tokens (a failed request counts only in
+///     failed_requests).
+///   gpu_seconds — sum of simulated per-call latencies: "GPU seconds" of
+///     the modelled A100 node, the currency the validation pipeline saves
+///     by filtering files before the LLM stage.
+///   batches — batched forward passes: flushes that carried two or more
+///     prompts, or whose requests arrived through the batch submission API
+///     (submit_many / complete_many). A lone complete()/submit() flush is a
+///     plain request, not a batch.
+///   batched_prompts — prompts served by those passes (also in requests).
+///   max_batch — largest single batched pass so far.
+///   formed_batches — forward passes the batcher executed, of any size and
+///     origin: the truthful occupancy denominator.
+///   flush_immediate, flush_full, flush_window — FlushReason split of
+///     formed_batches.
+///   pending_high_water — most requests simultaneously pending (submitted,
+///     not yet flushed) over the client's lifetime.
+///   occupancy_hist — flush sizes, bucketed by occupancy_bucket().
+///   retries — extra forward-pass attempts beyond each request's first,
+///     summed over resolved requests, successful or not. All resilience
+///     counters from here on stay zero in paper mode.
+///   failed_requests — requests that resolved with an error.
+///   timeouts — subset of failed_requests that gave up on a deadline.
+///   pending_shed — requests shed at submission by the bounded queue.
+///   batch_splits — failed multi-request passes split into per-request
+///     retries.
+///   breaker_opens — closed->open transitions of the circuit breaker.
+///   breaker_rejected — pass attempts rejected while the breaker was open
+///     or probing.
+///   retry_latency_hist — resolution latency (flush start to verdict, real
+///     wall time) of requests that needed more than one attempt, bucketed
+///     by retry_latency_bucket().
+#define LLM4VV_CLIENT_STATS(COUNTER, PEAK, HIST)                        \
+  COUNTER(std::uint64_t, requests)                                      \
+  COUNTER(std::uint64_t, prompt_tokens)                                 \
+  COUNTER(std::uint64_t, completion_tokens)                             \
+  COUNTER(double, gpu_seconds)                                          \
+  COUNTER(std::uint64_t, batches)                                       \
+  COUNTER(std::uint64_t, batched_prompts)                               \
+  PEAK(std::uint64_t, max_batch)                                        \
+  COUNTER(std::uint64_t, formed_batches)                                \
+  COUNTER(std::uint64_t, flush_immediate)                               \
+  COUNTER(std::uint64_t, flush_full)                                    \
+  COUNTER(std::uint64_t, flush_window)                                  \
+  PEAK(std::size_t, pending_high_water)                                 \
+  HIST(occupancy_hist, occupancy,                                       \
+       llm4vv::llm::ClientStats::kOccupancyBuckets,                     \
+       llm4vv::llm::ClientStats::occupancy_bucket_label)                \
+  COUNTER(std::uint64_t, retries)                                       \
+  COUNTER(std::uint64_t, failed_requests)                               \
+  COUNTER(std::uint64_t, timeouts)                                      \
+  COUNTER(std::uint64_t, pending_shed)                                  \
+  COUNTER(std::uint64_t, batch_splits)                                  \
+  COUNTER(std::uint64_t, breaker_opens)                                 \
+  COUNTER(std::uint64_t, breaker_rejected)                              \
+  HIST(retry_latency_hist, retry_latency,                               \
+       llm4vv::llm::ClientStats::kRetryLatencyBuckets,                  \
+       llm4vv::llm::ClientStats::retry_latency_bucket_label)
 
-  // -- adaptive-batcher telemetry (every counter below is per flush) ------
-  /// Forward passes the batcher executed, of any size and origin. This is
-  /// the truthful denominator for occupancy: prompts / formed batches.
-  std::uint64_t formed_batches = 0;
-  /// Flush-reason split of `formed_batches`.
-  std::uint64_t flush_immediate = 0;
-  std::uint64_t flush_full = 0;
-  std::uint64_t flush_window = 0;
-  /// High-water mark of simultaneously pending (submitted, not yet
-  /// flushed) requests over the client's lifetime.
-  std::size_t pending_high_water = 0;
-  /// Histogram of flush sizes. Seven fixed buckets, power-of-two edges
-  /// above the two singleton buckets (upper edges inclusive):
+/// Aggregate statistics of an inference endpoint (LLM4VV_CLIENT_STATS).
+struct ClientStats {
+  static constexpr std::size_t kOccupancyBuckets = 7;
+  static constexpr std::size_t kRetryLatencyBuckets = 6;
+
+#define LLM4VV_STAT_MEMBER(type, name) type name = 0;
+#define LLM4VV_HIST_MEMBER(member, metric, buckets, label) \
+  std::array<std::uint64_t, buckets> member{};
+  LLM4VV_CLIENT_STATS(LLM4VV_STAT_MEMBER, LLM4VV_STAT_MEMBER,
+                      LLM4VV_HIST_MEMBER)
+#undef LLM4VV_STAT_MEMBER
+#undef LLM4VV_HIST_MEMBER
+
+  /// This client's activity since `before`, an earlier snapshot of the
+  /// same client: counters and histograms are differences, peaks keep
+  /// this snapshot's value.
+  ClientStats since(const ClientStats& before) const noexcept;
+
+  /// Mean prompts per batched forward pass (batched_prompts / batches);
+  /// 0 when nothing was batched.
+  double batch_occupancy() const noexcept;
+
+  /// Bucket index a flush of `batch` prompts lands in. Seven fixed
+  /// buckets, power-of-two edges above the two singleton buckets (upper
+  /// edges inclusive):
   ///
   ///   bucket:  0    1    2      3      4       5        6
   ///   sizes:   1    2    3-4    5-8    9-16    17-32    33+
   ///
-  /// i.e. a flush of `n` prompts lands in bucket 0 for n <= 1, bucket 1
-  /// for n == 2, and bucket min(ceil(log2(n)), 6) for n >= 3. The edges
-  /// are pinned by a unit test (client_async_test) and documented in
-  /// docs/ASYNC_API.md; bench JSON and PipelineResult::judge_occupancy_hist
-  /// reuse these buckets via occupancy_bucket_label().
-  static constexpr std::size_t kOccupancyBuckets = 7;
-  std::array<std::uint64_t, kOccupancyBuckets> occupancy_hist{};
-
-  /// Bucket index a flush of `batch` prompts lands in (batch 0 — which no
-  /// real flush produces — counts into bucket 0 with the singletons).
+  /// i.e. bucket 0 for n <= 1 (batch 0, which no real flush produces,
+  /// counts with the singletons), bucket 1 for n == 2, and bucket
+  /// min(ceil(log2(n)), 6) for n >= 3. The edges are pinned by a unit
+  /// test (client_async_test) and documented in docs/ASYNC_API.md.
   static std::size_t occupancy_bucket(std::size_t batch) noexcept;
   /// Human-readable label of a bucket ("1", "2", "3-4", ...).
   static const char* occupancy_bucket_label(std::size_t bucket) noexcept;
 
-  // -- resilience telemetry (all zero in paper mode) ----------------------
-  /// Extra forward-pass attempts beyond each request's first (summed over
-  /// resolved requests, successful or not).
-  std::uint64_t retries = 0;
-  /// Requests that resolved with an error (`requests` above counts only
-  /// successfully served ones; a request lands in exactly one of the two).
-  std::uint64_t failed_requests = 0;
-  /// Subset of failed_requests that gave up on an expired deadline.
-  std::uint64_t timeouts = 0;
-  /// Requests shed at submission time by the bounded pending queue.
-  std::uint64_t pending_shed = 0;
-  /// Failed multi-request passes split into per-request retries.
-  std::uint64_t batch_splits = 0;
-  /// Closed->open transitions of the circuit breaker.
-  std::uint64_t breaker_opens = 0;
-  /// Pass attempts rejected while the breaker was open / probing.
-  std::uint64_t breaker_rejected = 0;
-  /// Histogram of resolution latency (flush start to verdict, real wall
-  /// time) of requests that needed more than one attempt — the price the
-  /// retry layer paid. Bucket upper edges: 100us, 1ms, 10ms, 100ms, 1s,
-  /// then open-ended.
-  static constexpr std::size_t kRetryLatencyBuckets = 6;
-  std::array<std::uint64_t, kRetryLatencyBuckets> retry_latency_hist{};
-
   /// Bucket index a retried request resolving after `micros` lands in.
+  /// Bucket upper edges: 100us, 1ms, 10ms, 100ms, 1s, then open-ended.
   static std::size_t retry_latency_bucket(std::uint64_t micros) noexcept;
   /// Human-readable label ("<100us", "<1ms", ..., ">=1s").
   static const char* retry_latency_bucket_label(std::size_t bucket) noexcept;
@@ -341,11 +380,10 @@ class ModelClient {
     tracer_ = std::move(tracer);
   }
 
-  /// Re-register this client's statistics into a metrics registry as
-  /// scrape-time probes under `prefix` ("<prefix>.requests",
-  /// "<prefix>.gpu_seconds", ...; see docs/OBSERVABILITY.md for the full
-  /// list). The probes read stats() on every scrape, so the registry value
-  /// and the legacy snapshot field are the same number by construction.
+  /// Register this client's statistics into a metrics registry as
+  /// scrape-time probes under `prefix`, one per LLM4VV_CLIENT_STATS entry
+  /// ("<prefix>.requests", "<prefix>.occupancy" per bucket, ...). The
+  /// probes read stats() on every scrape: the registry stores nothing.
   /// The client must outlive the registration — unregister_prefix(prefix)
   /// (or registry teardown) before destroying the client.
   void register_metrics(obs::Registry& registry,

@@ -3,9 +3,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
-/// The atomic storage cells behind the obs::Registry metric handles.
+/// The atomic storage cells behind the obs::Registry counter handles.
 ///
 /// This header is the one sanctioned home of raw std::atomic members under
 /// src/obs/ (tools/lint_concurrency.sh rule 3 rejects them anywhere else in
@@ -21,8 +20,8 @@
 /// the data they count.
 namespace llm4vv::obs {
 
-/// Shard count for counter/histogram cells. Power of two (the shard pick
-/// is a mask); 16 covers the repo's worker-pool sizes with headroom.
+/// Shard count for counter cells. Power of two (the shard pick is a
+/// mask); 16 covers the repo's worker-pool sizes with headroom.
 inline constexpr std::size_t kCellShards = 16;
 
 /// Cache-line size for padding. Hardcoded rather than
@@ -64,66 +63,6 @@ struct CounterCells {
     std::uint64_t sum = 0;
     for (const CounterCell& cell : shard) sum += cell.load();
     return sum;
-  }
-};
-
-/// Single-lane signed gauge (set/add). Gauges are last-writer-wins and
-/// cannot shard meaningfully, so one padded cell is the whole story.
-struct alignas(kCellLineBytes) GaugeCell {
-  std::atomic<std::int64_t> value{0};
-
-  void set(std::int64_t v) noexcept {
-    value.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t n) noexcept {
-    value.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::int64_t load() const noexcept {
-    return value.load(std::memory_order_relaxed);
-  }
-};
-
-/// Sharded histogram over fixed integer bucket edges: per-shard bucket
-/// lanes plus sum lanes, all summed on scrape. Values are integers (the
-/// registry records microseconds and sizes); the bucket for value v is the
-/// first edge with v <= edge, else the overflow bucket.
-struct HistogramCells {
-  explicit HistogramCells(std::vector<std::uint64_t> upper_edges)
-      : edges(std::move(upper_edges)),
-        buckets(kCellShards * (edges.size() + 1)) {}
-
-  std::vector<std::uint64_t> edges;
-  std::vector<CounterCell> buckets;  // shard-major: [shard][bucket]
-  CounterCell sum[kCellShards];
-
-  std::size_t bucket_index(std::uint64_t v) const noexcept {
-    std::size_t i = 0;
-    while (i < edges.size() && v > edges[i]) ++i;
-    return i;
-  }
-
-  void observe(std::uint64_t v) noexcept {
-    const std::size_t shard = this_thread_shard();
-    buckets[shard * (edges.size() + 1) + bucket_index(v)].add(1);
-    sum[shard].add(v);
-  }
-
-  std::uint64_t bucket_total(std::size_t bucket) const noexcept {
-    std::uint64_t total = 0;
-    for (std::size_t shard = 0; shard < kCellShards; ++shard)
-      total += buckets[shard * (edges.size() + 1) + bucket].load();
-    return total;
-  }
-  std::uint64_t count_total() const noexcept {
-    std::uint64_t total = 0;
-    for (std::size_t bucket = 0; bucket <= edges.size(); ++bucket)
-      total += bucket_total(bucket);
-    return total;
-  }
-  std::uint64_t sum_total() const noexcept {
-    std::uint64_t total = 0;
-    for (const CounterCell& cell : sum) total += cell.load();
-    return total;
   }
 };
 

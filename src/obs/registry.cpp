@@ -7,14 +7,6 @@
 namespace llm4vv::obs {
 namespace {
 
-std::string inf_label() { return "le:+Inf"; }
-
-std::string edge_label(std::uint64_t edge) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "le:%" PRIu64, edge);
-  return buf;
-}
-
 /// Prometheus metric names are [a-zA-Z_:][a-zA-Z0-9_:]*; dotted registry
 /// names map dots (and anything else) to underscores under a llm4vv_
 /// prefix.
@@ -52,58 +44,13 @@ const MetricSample* find_sample(const MetricsSnapshot& snapshot,
   return nullptr;
 }
 
-Registry::OwnedMetric* Registry::find_owned_locked(const std::string& name) {
-  for (const auto& metric : owned_) {
-    if (metric->name == name) return metric.get();
-  }
-  return nullptr;
-}
-
 Counter Registry::counter(const std::string& name) {
   support::MutexLock lock(mutex_);
-  if (OwnedMetric* existing = find_owned_locked(name)) {
-    return existing->kind == Kind::kCounter ? Counter(existing->counter.get())
-                                            : Counter();
+  for (const OwnedCounter& owned : owned_) {
+    if (owned.name == name) return Counter(owned.cells.get());
   }
-  auto metric = std::make_unique<OwnedMetric>();
-  metric->name = name;
-  metric->kind = Kind::kCounter;
-  metric->counter = std::make_unique<CounterCells>();
-  Counter handle(metric->counter.get());
-  owned_.push_back(std::move(metric));
-  return handle;
-}
-
-Gauge Registry::gauge(const std::string& name) {
-  support::MutexLock lock(mutex_);
-  if (OwnedMetric* existing = find_owned_locked(name)) {
-    return existing->kind == Kind::kGauge ? Gauge(existing->gauge.get())
-                                          : Gauge();
-  }
-  auto metric = std::make_unique<OwnedMetric>();
-  metric->name = name;
-  metric->kind = Kind::kGauge;
-  metric->gauge = std::make_unique<GaugeCell>();
-  Gauge handle(metric->gauge.get());
-  owned_.push_back(std::move(metric));
-  return handle;
-}
-
-Histogram Registry::histogram(const std::string& name,
-                              std::vector<std::uint64_t> upper_edges) {
-  support::MutexLock lock(mutex_);
-  if (OwnedMetric* existing = find_owned_locked(name)) {
-    return existing->kind == Kind::kHistogram
-               ? Histogram(existing->histogram.get())
-               : Histogram();
-  }
-  auto metric = std::make_unique<OwnedMetric>();
-  metric->name = name;
-  metric->kind = Kind::kHistogram;
-  metric->histogram = std::make_unique<HistogramCells>(std::move(upper_edges));
-  Histogram handle(metric->histogram.get());
-  owned_.push_back(std::move(metric));
-  return handle;
+  owned_.push_back(OwnedCounter{name, std::make_unique<CounterCells>()});
+  return Counter(owned_.back().cells.get());
 }
 
 void Registry::register_probe(const std::string& name,
@@ -137,31 +84,9 @@ MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot out;
   {
     support::MutexLock lock(mutex_);
-    for (const auto& metric : owned_) {
-      switch (metric->kind) {
-        case Kind::kCounter:
-          out.push_back({metric->name, "",
-                         static_cast<double>(metric->counter->total())});
-          break;
-        case Kind::kGauge:
-          out.push_back({metric->name, "",
-                         static_cast<double>(metric->gauge->load())});
-          break;
-        case Kind::kHistogram: {
-          const HistogramCells& h = *metric->histogram;
-          for (std::size_t i = 0; i < h.edges.size(); ++i) {
-            out.push_back({metric->name, edge_label(h.edges[i]),
-                           static_cast<double>(h.bucket_total(i))});
-          }
-          out.push_back({metric->name, inf_label(),
-                         static_cast<double>(h.bucket_total(h.edges.size()))});
-          out.push_back({metric->name + ".count", "",
-                         static_cast<double>(h.count_total())});
-          out.push_back({metric->name + ".sum", "",
-                         static_cast<double>(h.sum_total())});
-          break;
-        }
-      }
+    for (const OwnedCounter& owned : owned_) {
+      out.push_back(
+          {owned.name, "", static_cast<double>(owned.cells->total())});
     }
     // Probes run under the lock: callbacks must not re-enter the registry
     // (documented in the header), and scrapes are rare cold-path events.
@@ -183,10 +108,10 @@ std::string Registry::render_text() const {
   for (const MetricSample& sample : samples) {
     const std::string metric = sanitize(sample.name);
     if (sample.name != last_name) {
-      // Histogram buckets carry "le:<edge>" labels; everything else renders
-      // untyped. Kind metadata is deliberately not threaded through the
-      // snapshot — the dump is for humans and scrape scripts, not a full
-      // Prometheus exposition.
+      // Bucketed probes carry labels and render as histograms; everything
+      // else renders untyped. Kind metadata is deliberately not threaded
+      // through the snapshot — the dump is for humans and scrape scripts,
+      // not a full Prometheus exposition.
       out += "# TYPE " + metric +
              (sample.label.empty() ? " untyped\n" : " histogram\n");
       last_name = sample.name;

@@ -13,21 +13,18 @@
 ///
 /// Two kinds of metric coexist:
 ///
-///  * Owned handles (Counter/Gauge/Histogram): get-or-create by name, backed
-///    by sharded atomic cells from obs/cells.hpp. Handles are trivially
-///    copyable pointers, valid for the registry's lifetime, and null-safe —
-///    a default-constructed handle makes every operation a single branch,
-///    which is how instrumented hot paths cost nothing when no registry is
-///    attached.
-///
 ///  * Probes: scrape-time callbacks registered against a name (and optional
-///    bucket label). The pre-existing stats structs (ClientStats,
-///    JudgeCacheStats, ArtifactStoreStats, queue accessors) re-register
-///    into the registry as probes over their own snapshot methods, so the
-///    registry value and the legacy field are the same number by
-///    construction — the structs stay authoritative and no public API or
-///    bench JSON field changes. tests/obs_consistency_test.cpp asserts the
-///    equality stays exact.
+///    bucket label). The stats structs (ClientStats, JudgeCacheStats,
+///    ArtifactStoreStats, queue accessors) are the store: each registers
+///    probes over its own snapshot method, so the registry only reads them
+///    and holds no copy that could drift.
+///
+///  * Owned counters: get-or-create by name, backed by sharded atomic cells
+///    from obs/cells.hpp, for totals that outlive every struct — the
+///    pipeline's cross-run counters, to which each run adds its
+///    PipelineResult totals once. Handles are trivially copyable pointers,
+///    valid for the registry's lifetime, and null-safe: a
+///    default-constructed handle makes inc() a single branch.
 ///
 /// Scrapes (`snapshot()`, `render_text()`) aggregate cells and run probes
 /// under the registration mutex; probe callbacks must not call back into
@@ -36,8 +33,8 @@
 /// sanitizes to Prometheus charset and prefixes "llm4vv_".
 namespace llm4vv::obs {
 
-/// One scraped value. Histograms expand to one sample per bucket
-/// (label "le:<edge>" / "le:+Inf") plus "<name>.count" and "<name>.sum".
+/// One scraped value. A bucketed probe contributes one sample per bucket,
+/// each carrying its bucket label.
 struct MetricSample {
   std::string name;
   std::string label;  // empty for scalar samples
@@ -69,41 +66,6 @@ class Counter {
   CounterCells* cells_ = nullptr;
 };
 
-/// Last-writer-wins gauge handle. Copyable, null-safe.
-class Gauge {
- public:
-  Gauge() = default;
-
-  void set(std::int64_t v) const noexcept {
-    if (cell_ != nullptr) cell_->set(v);
-  }
-  void add(std::int64_t n) const noexcept {
-    if (cell_ != nullptr) cell_->add(n);
-  }
-  explicit operator bool() const noexcept { return cell_ != nullptr; }
-
- private:
-  friend class Registry;
-  explicit Gauge(GaugeCell* cell) noexcept : cell_(cell) {}
-  GaugeCell* cell_ = nullptr;
-};
-
-/// Fixed-edge integer histogram handle. Copyable, null-safe.
-class Histogram {
- public:
-  Histogram() = default;
-
-  void observe(std::uint64_t v) const noexcept {
-    if (cells_ != nullptr) cells_->observe(v);
-  }
-  explicit operator bool() const noexcept { return cells_ != nullptr; }
-
- private:
-  friend class Registry;
-  explicit Histogram(HistogramCells* cells) noexcept : cells_(cells) {}
-  HistogramCells* cells_ = nullptr;
-};
-
 class Registry {
  public:
   Registry() = default;
@@ -114,12 +76,6 @@ class Registry {
   /// re-requesting a name returns a handle over the same cells (cheap
   /// enough per pipeline run, not per item — cache the handle in hot code).
   Counter counter(const std::string& name) EXCLUDES(mutex_);
-  Gauge gauge(const std::string& name) EXCLUDES(mutex_);
-  /// `upper_edges` must be sorted ascending; an implicit +Inf overflow
-  /// bucket is appended. Re-requesting an existing histogram ignores the
-  /// edges argument and returns the original.
-  Histogram histogram(const std::string& name,
-                      std::vector<std::uint64_t> upper_edges) EXCLUDES(mutex_);
 
   /// Scrape-time callback metric. Re-registering the same (name, label)
   /// replaces the previous probe. The callback outlives registration —
@@ -131,26 +87,21 @@ class Registry {
 
   /// Drop every probe whose name starts with `prefix` (run-scoped objects,
   /// e.g. the pipeline's per-run queues, unregister on teardown). Owned
-  /// counter/gauge/histogram metrics are deliberately permanent — handles
-  /// to them may still be live.
+  /// counters are deliberately permanent — handles to them may still be
+  /// live.
   void unregister_prefix(const std::string& prefix) EXCLUDES(mutex_);
 
   /// Aggregate everything: cells summed, probes invoked. Sorted by name
-  /// (stable, so histogram buckets keep registration order).
+  /// (stable, so a probe's buckets keep registration order).
   MetricsSnapshot snapshot() const EXCLUDES(mutex_);
 
   /// Prometheus-style text exposition of snapshot().
   std::string render_text() const EXCLUDES(mutex_);
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
-
-  struct OwnedMetric {
+  struct OwnedCounter {
     std::string name;
-    Kind kind;
-    std::unique_ptr<CounterCells> counter;
-    std::unique_ptr<GaugeCell> gauge;
-    std::unique_ptr<HistogramCells> histogram;
+    std::unique_ptr<CounterCells> cells;
   };
   struct Probe {
     std::string name;
@@ -158,10 +109,8 @@ class Registry {
     std::function<double()> fn;
   };
 
-  OwnedMetric* find_owned_locked(const std::string& name) REQUIRES(mutex_);
-
   mutable support::Mutex mutex_;
-  std::vector<std::unique_ptr<OwnedMetric>> owned_ GUARDED_BY(mutex_);
+  std::vector<OwnedCounter> owned_ GUARDED_BY(mutex_);
   std::vector<Probe> probes_ GUARDED_BY(mutex_);
 };
 

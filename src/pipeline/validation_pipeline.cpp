@@ -31,9 +31,6 @@ struct JudgeLocal {
   double gpu_seconds = 0.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t batched_prompts = 0;
-  std::uint64_t max_batch = 0;
   std::uint64_t persisted_hits = 0;
   std::uint64_t errors = 0;
 };
@@ -58,56 +55,6 @@ void merge_into(StageStats& total, const StageStats& part) {
   total.processed += part.processed;
   total.rejected += part.rejected;
   total.busy_seconds += part.busy_seconds;
-}
-
-/// Owned pipeline counters, fetched once per run: handle lookup is by name
-/// under the registry mutex — too costly per item, free per run. With no
-/// registry every handle stays null, so each inc() on the hot path is a
-/// single branch. Names mirror the legacy PipelineResult fields one-to-one
-/// (tests/obs_consistency_test.cpp asserts the totals stay equal).
-struct PipelineMetrics {
-  obs::Counter files;
-  obs::Counter dropped;
-  obs::Counter compile_processed;
-  obs::Counter compile_rejected;
-  obs::Counter compile_cache_hits;
-  obs::Counter compile_persisted_hits;
-  obs::Counter execute_processed;
-  obs::Counter execute_rejected;
-  obs::Counter execute_fused_instructions;
-  obs::Counter judge_processed;
-  obs::Counter judge_rejected;
-  obs::Counter judge_cache_hits;
-  obs::Counter judge_cache_misses;
-  obs::Counter judge_persisted_hits;
-  obs::Counter judge_errors;
-  /// Items per popped judge chunk — how full the stage-3 pops ran.
-  obs::Histogram judge_chunk;
-};
-
-PipelineMetrics fetch_metrics(obs::Registry* registry) {
-  PipelineMetrics m;
-  if (registry == nullptr) return m;
-  m.files = registry->counter("pipeline.files");
-  m.dropped = registry->counter("pipeline.dropped");
-  m.compile_processed = registry->counter("pipeline.compile.processed");
-  m.compile_rejected = registry->counter("pipeline.compile.rejected");
-  m.compile_cache_hits = registry->counter("pipeline.compile.cache_hits");
-  m.compile_persisted_hits =
-      registry->counter("pipeline.compile.persisted_hits");
-  m.execute_processed = registry->counter("pipeline.execute.processed");
-  m.execute_rejected = registry->counter("pipeline.execute.rejected");
-  m.execute_fused_instructions =
-      registry->counter("pipeline.execute.fused_instructions");
-  m.judge_processed = registry->counter("pipeline.judge.processed");
-  m.judge_rejected = registry->counter("pipeline.judge.rejected");
-  m.judge_cache_hits = registry->counter("pipeline.judge.cache_hits");
-  m.judge_cache_misses = registry->counter("pipeline.judge.cache_misses");
-  m.judge_persisted_hits = registry->counter("pipeline.judge.persisted_hits");
-  m.judge_errors = registry->counter("pipeline.judge.errors");
-  m.judge_chunk = registry->histogram("pipeline.judge.chunk_size",
-                                      {1, 2, 4, 8, 16, 32, 64});
-  return m;
 }
 
 }  // namespace
@@ -144,8 +91,6 @@ PipelineResult ValidationPipeline::run(
 
   obs::Registry* const registry = config_.registry.get();
   obs::Tracer* const tracer = config_.trace.get();
-  const PipelineMetrics metrics = fetch_metrics(registry);
-  metrics.files.inc(files.size());
   // Run-scoped probes: the judge's client and memo-cache counters
   // re-register under "pipeline.*" for this run (the queues join below,
   // once they exist) and are unregistered after the end-of-run snapshot,
@@ -176,10 +121,7 @@ PipelineResult ValidationPipeline::run(
   result.execute_dispatch = vm::dispatch_mode_name(executor_.dispatch_mode());
   result.queue_shards = shards;
 
-  // Snapshot the judge client's batcher counters so the run can report the
-  // forward passes actually formed on its behalf (assumes the client is
-  // not concurrently serving unrelated traffic — true for every in-tree
-  // call site, where runs on a shared client are sequential).
+  // The start of the judge client's window (PipelineResult::judge_client).
   const llm::ClientStats client_before = judge_->client().stats();
 
   support::MpmcQueue<std::size_t> compile_queue(config_.queue_capacity,
@@ -244,10 +186,6 @@ PipelineResult ValidationPipeline::run(
           if (item.compile.persisted) ++local.persisted_hits;
           ++local.stats.processed;
           if (!item.compile.success) ++local.stats.rejected;
-          metrics.compile_processed.inc();
-          if (item.compile.cached) metrics.compile_cache_hits.inc();
-          if (item.compile.persisted) metrics.compile_persisted_hits.inc();
-          if (!item.compile.success) metrics.compile_rejected.inc();
           local.stats.busy_seconds += timer.seconds();
           if (filter && !item.compile.success) continue;
           if (tracer != nullptr) item.queued_us = support::now_us();
@@ -256,7 +194,6 @@ PipelineResult ValidationPipeline::run(
         const std::size_t pushed = execute_queue.push_all(outgoing);
         for (std::size_t j = pushed; j < outgoing.size(); ++j) {
           result.records[outgoing[j].index].dropped = true;
-          metrics.dropped.inc();
         }
       }
       compile_locals[w] = local;
@@ -295,14 +232,10 @@ PipelineResult ValidationPipeline::run(
           record.exec_rc = item.exec.return_code;
           ++local.stats.processed;
           if (!item.exec.passed()) ++local.stats.rejected;
-          metrics.execute_processed.inc();
-          if (!item.exec.passed()) metrics.execute_rejected.inc();
           if (item.exec.fused_instructions > 0) {
             local.fused_instructions += item.exec.fused_instructions;
             local.fusion_patterns =
                 std::max(local.fusion_patterns, item.exec.fusion_patterns);
-            metrics.execute_fused_instructions.inc(
-                item.exec.fused_instructions);
           }
           local.stats.busy_seconds += timer.seconds();
           if (filter && !item.exec.passed()) continue;
@@ -312,7 +245,6 @@ PipelineResult ValidationPipeline::run(
         const std::size_t pushed = judge_queue.push_all(outgoing);
         for (std::size_t j = pushed; j < outgoing.size(); ++j) {
           result.records[outgoing[j].index].dropped = true;
-          metrics.dropped.inc();
         }
       }
       execute_locals[w] = local;
@@ -342,15 +274,10 @@ PipelineResult ValidationPipeline::run(
         ++local.stats.processed;
         if (!decision.says_valid) ++local.stats.rejected;
         if (decision.persisted) ++local.persisted_hits;
-        metrics.judge_processed.inc();
-        if (!decision.says_valid) metrics.judge_rejected.inc();
-        if (decision.persisted) metrics.judge_persisted_hits.inc();
         if (decision.cached) {
           ++local.cache_hits;
-          metrics.judge_cache_hits.inc();
         } else {
           ++local.cache_misses;
-          metrics.judge_cache_misses.inc();
           record.judge_attempts = decision.completion.attempts;
           record.judge_gpu_seconds = decision.completion.latency_seconds;
           local.gpu_seconds += decision.completion.latency_seconds;
@@ -373,8 +300,6 @@ PipelineResult ValidationPipeline::run(
         }
         ++local.stats.processed;
         ++local.errors;
-        metrics.judge_processed.inc();
-        metrics.judge_errors.inc();
       };
       /// One submitted-but-not-drained chunk item.
       struct PendingJudge {
@@ -382,7 +307,6 @@ PipelineResult ValidationPipeline::run(
         judge::JudgeFuture future;
         judge::JudgeDecision decision;
         std::exception_ptr error;  ///< the judge gave up on this item
-        std::size_t group = 0;  ///< submission-group id within the chunk
         std::uint64_t submit_us = 0;  ///< judge-span start (tracing only)
       };
       // Judge span: submission to drain, stamped when the future resolves.
@@ -413,7 +337,6 @@ PipelineResult ValidationPipeline::run(
       for (;;) {
         batch.clear();
         if (judge_queue.pop_up_to(kStageBatch, batch) == 0) break;
-        metrics.judge_chunk.observe(batch.size());
         if (tracer != nullptr) {
           // Residency in the judge queue: enqueue to chunk pickup.
           for (const WorkItem& item : batch) {
@@ -456,9 +379,8 @@ PipelineResult ValidationPipeline::run(
         support::Stopwatch timer;
         // Submit every group of the chunk first...
         pending.clear();
-        std::size_t groups = 0;
         for (std::size_t start = 0; start < batch.size();
-             start += judge_batch, ++groups) {
+             start += judge_batch) {
           const std::size_t end =
               std::min(batch.size(), start + judge_batch);
           requests.clear();
@@ -474,7 +396,6 @@ PipelineResult ValidationPipeline::run(
             PendingJudge entry;
             entry.item = &batch[i];
             entry.future = std::move(futures[i - start]);
-            entry.group = groups;
             entry.submit_us = group_submit_us;
             pending.push_back(std::move(entry));
           }
@@ -504,23 +425,6 @@ PipelineResult ValidationPipeline::run(
           }
         }
         local.stats.busy_seconds += timer.seconds();
-        // Per-group accounting of the popped-chunk view: count only
-        // decisions whose model call rode the batch submission API —
-        // cache hits, dedup copies, and rare sequential fallbacks (a
-        // waiter taking over an abandoned key) are not batched prompts.
-        // The forward-pass truth comes from the client's flush counters,
-        // snapshotted around the whole run.
-        for (std::size_t g = 0; g < groups; ++g) {
-          std::uint64_t submitted = 0;
-          for (const PendingJudge& entry : pending) {
-            if (entry.group == g && entry.decision.batched) ++submitted;
-          }
-          if (submitted > 0) {
-            ++local.batches;
-            local.batched_prompts += submitted;
-            local.max_batch = std::max(local.max_batch, submitted);
-          }
-        }
         for (const PendingJudge& entry : pending) {
           if (entry.error != nullptr) {
             record_error(*entry.item, entry.error);
@@ -566,58 +470,25 @@ PipelineResult ValidationPipeline::run(
     result.judge_gpu_seconds += local.gpu_seconds;
     result.judge_cache_hits += local.cache_hits;
     result.judge_cache_misses += local.cache_misses;
-    result.judge_batches += local.batches;
-    result.judge_batched_prompts += local.batched_prompts;
-    result.judge_max_batch = std::max(result.judge_max_batch, local.max_batch);
     result.judge_persisted_hits += local.persisted_hits;
     result.judge_errors += local.errors;
   }
-  // Batcher truth: occupancy and flush telemetry come from the client's
-  // counters, windowed over this run — batches are counted as the model
-  // actually formed them, not as the judge workers' popped chunks happened
-  // to slice them (a pass coalescing several workers' groups counts once,
-  // at its true size).
-  const llm::ClientStats client_after = judge_->client().stats();
-  result.judge_formed_batches =
-      client_after.formed_batches - client_before.formed_batches;
-  result.judge_flush_immediate =
-      client_after.flush_immediate - client_before.flush_immediate;
-  result.judge_flush_full =
-      client_after.flush_full - client_before.flush_full;
-  result.judge_flush_window =
-      client_after.flush_window - client_before.flush_window;
-  for (std::size_t b = 0; b < llm::ClientStats::kOccupancyBuckets; ++b) {
-    result.judge_occupancy_hist[b] =
-        client_after.occupancy_hist[b] - client_before.occupancy_hist[b];
-  }
-  result.judge_queue_depth_peak = client_after.pending_high_water;
-  result.judge_retries = client_after.retries - client_before.retries;
-  result.judge_timeouts = client_after.timeouts - client_before.timeouts;
-  result.judge_shed = client_after.pending_shed - client_before.pending_shed;
-  result.breaker_opens =
-      client_after.breaker_opens - client_before.breaker_opens;
-  for (std::size_t b = 0; b < llm::ClientStats::kRetryLatencyBuckets; ++b) {
-    result.judge_retry_latency_hist[b] =
-        client_after.retry_latency_hist[b] -
-        client_before.retry_latency_hist[b];
-  }
+  // Batcher truth: passes count as the client formed them, so a pass
+  // coalescing several workers' groups counts once, at its true size.
+  result.judge_client = judge_->client().stats().since(client_before);
   result.queue_steals =
       compile_queue.steals() + execute_queue.steals() + judge_queue.steals();
-  const std::uint64_t formed_batched =
-      client_after.batches - client_before.batches;
-  const std::uint64_t formed_prompts =
-      client_after.batched_prompts - client_before.batched_prompts;
-  if (formed_batched > 0) {
-    result.judge_batch_occupancy = static_cast<double>(formed_prompts) /
-                                   static_cast<double>(formed_batched);
-  }
   run_span.set_gpu_seconds(result.judge_gpu_seconds);
   run_span.end();
-  // Snapshot while the run-scoped probes (client, judge cache, queues) are
-  // still live, then drop them: the queues die with this frame, and the
-  // client/cache probes must not outlive the pipeline into a longer-lived
-  // registry.
+  // Publish this run's totals, snapshot while the run-scoped probes
+  // (client, judge cache, queues) are still live, then drop them: the
+  // queues die with this frame, and the client/cache probes must not
+  // outlive the pipeline into a longer-lived registry.
   if (registry != nullptr) {
+#define LLM4VV_PUBLISH(name, member) \
+  registry->counter("pipeline." name).inc(result.member);
+    LLM4VV_PIPELINE_COUNTERS(LLM4VV_PUBLISH)
+#undef LLM4VV_PUBLISH
     result.metrics = registry->snapshot();
     registry->unregister_prefix("pipeline.client.");
     registry->unregister_prefix("pipeline.judge_cache.");

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,8 +42,8 @@ struct PipelineConfig {
   /// accounting, which the core/ experiments pin to keep their simulated
   /// GPU totals seed-exact. 0 is invalid: the pipeline constructor rejects
   /// it instead of silently misbehaving. Effective group sizes are also
-  /// bounded by how many items a queue pop returns, so chunk occupancy can
-  /// come in under this value on a draining queue.
+  /// bounded by how many items a queue pop returns, so a group can hold
+  /// fewer items than this on a draining queue.
   std::size_t judge_batch_size = 8;
   /// Items a worker moves per queue round-trip (pop_up_to / push_all).
   /// Batching amortizes the queue lock over several items; kept small so
@@ -62,13 +61,12 @@ struct PipelineConfig {
   /// (records are indexed, not ordered); 1 restores the strict-FIFO
   /// single-mutex queue.
   std::size_t queue_shards = 0;
-  /// Optional metrics registry. When set, run() re-registers the judge's
-  /// client/cache counters and the inter-stage queue gauges as run-scoped
-  /// probes under "pipeline.*", bumps owned pipeline counters as items move
-  /// through the stages, and snapshots the whole registry into
-  /// PipelineResult::metrics before unregistering the run-scoped probes.
-  /// Null (the default) keeps the pipeline metrics-free: every metric hook
-  /// degrades to a single branch on a null handle.
+  /// Optional metrics registry. When set, run() mounts the judge's client
+  /// and cache statistics and the inter-stage queues as run-scoped probes
+  /// under "pipeline.*". At the end of the run it adds the run's totals to
+  /// the permanent LLM4VV_PIPELINE_COUNTERS, snapshots the whole registry
+  /// into PipelineResult::metrics, and unmounts the run-scoped probes.
+  /// Null (the default) keeps the pipeline metrics-free.
   std::shared_ptr<obs::Registry> registry;
   /// Optional span tracer. When set, run() emits one run span plus
   /// per-file compile / queue-wait / execute / judge spans (trace id =
@@ -128,6 +126,29 @@ struct StageStats {
   double busy_seconds = 0.0;  ///< summed worker time in the stage
 };
 
+/// The pipeline's registry counters, declared once: X(name, member) names
+/// the counter "pipeline.<name>" and the PipelineResult member holding one
+/// run's value. run() adds each run's values to these permanent counters
+/// just before its end-of-run snapshot, so a registry shared by several
+/// runs totals them all. tests/obs_consistency_test.cpp expands the same
+/// list.
+#define LLM4VV_PIPELINE_COUNTERS(X)                                \
+  X("files", records.size())                                       \
+  X("dropped", dropped_items)                                      \
+  X("compile.processed", compile_stage.processed)                  \
+  X("compile.rejected", compile_stage.rejected)                    \
+  X("compile.cache_hits", compile_cache_hits)                      \
+  X("compile.persisted_hits", compile_persisted_hits)              \
+  X("execute.processed", execute_stage.processed)                  \
+  X("execute.rejected", execute_stage.rejected)                    \
+  X("execute.fused_instructions", execute_fused_instructions)      \
+  X("judge.processed", judge_stage.processed)                      \
+  X("judge.rejected", judge_stage.rejected)                        \
+  X("judge.cache_hits", judge_cache_hits)                          \
+  X("judge.cache_misses", judge_cache_misses)                      \
+  X("judge.persisted_hits", judge_persisted_hits)                  \
+  X("judge.errors", judge_errors)
+
 /// Result of one pipeline run.
 struct PipelineResult {
   std::vector<PipelineRecord> records;  ///< input order
@@ -144,36 +165,15 @@ struct PipelineResult {
   std::uint64_t judge_cache_misses = 0;
   /// Items refused by a closed queue (sum of PipelineRecord::dropped).
   std::size_t dropped_items = 0;
-  /// Batched judge submission *groups*: judge-worker chunk groups that put
-  /// at least one prompt in front of the model (cache-hit-only groups
-  /// don't count). This is the per-worker "popped chunk" view; the batcher
-  /// counters below are the forward-pass truth.
-  std::uint64_t judge_batches = 0;
-  /// Prompts submitted through those groups.
-  std::uint64_t judge_batched_prompts = 0;
-  /// Largest single submission group observed during the run.
-  std::uint64_t judge_max_batch = 0;
-  /// Mean prompts per batched forward pass actually formed by the model
-  /// client's adaptive batcher during this run (0 when nothing was
-  /// batched). The headline occupancy number: how full the batched
-  /// forward passes really ran. Unlike the popped-chunk counters above,
-  /// this is computed from the client's flush statistics, so passes that
-  /// coalesced several workers' groups count once, at their true size.
-  double judge_batch_occupancy = 0.0;
-  /// Forward passes the judge's client executed during the run (every
-  /// flush, any size) and their flush-reason split — the adaptive
-  /// batcher's telemetry, windowed over this run.
-  std::uint64_t judge_formed_batches = 0;
-  std::uint64_t judge_flush_immediate = 0;
-  std::uint64_t judge_flush_full = 0;
-  std::uint64_t judge_flush_window = 0;
-  /// Flush-size histogram over the run (buckets per
-  /// llm::ClientStats::occupancy_bucket_label).
-  std::array<std::uint64_t, llm::ClientStats::kOccupancyBuckets>
-      judge_occupancy_hist{};
-  /// High-water mark of requests pending in the client's batcher (client
-  /// lifetime, not per-run: a high-water mark cannot be windowed).
-  std::size_t judge_queue_depth_peak = 0;
+  /// The judge's model-client statistics over this run: the client's
+  /// stats at the end of the run since() those at its start. Counters and
+  /// histograms are this run's (forward passes as the batcher formed them,
+  /// flush reasons, retries, timeouts, sheds, breaker opens); the peaks
+  /// max_batch and pending_high_water are client-lifetime values. The
+  /// window assumes the client serves no unrelated traffic during the run
+  /// — true for every in-tree caller, where runs on a shared client are
+  /// sequential. judge_client.batch_occupancy() is the headline occupancy.
+  llm::ClientStats judge_client;
   /// Judge cache hits served by entries warm-loaded from a persistent
   /// artifact store (subset of judge_cache_hits): the cross-run savings a
   /// warm start delivers, as opposed to in-process memoization.
@@ -196,19 +196,9 @@ struct PipelineResult {
   /// Pops served by a non-home shard across the three inter-stage queues —
   /// how often workers had to steal instead of hitting their own shard.
   std::uint64_t queue_steals = 0;
-  // -- resilience telemetry (all zero with faults/retries off) ------------
-  /// Records whose judge stage gave up (sum of PipelineRecord::judge_error).
+  /// Records whose judge stage gave up (sum of PipelineRecord::judge_error;
+  /// zero with faults and retries off).
   std::size_t judge_errors = 0;
-  /// Client counters windowed over this run (see llm::ClientStats): extra
-  /// forward-pass attempts, deadline give-ups, requests shed by the
-  /// bounded pending queue, circuit-breaker opens, and the resolution-
-  /// latency histogram of retried requests.
-  std::uint64_t judge_retries = 0;
-  std::uint64_t judge_timeouts = 0;
-  std::uint64_t judge_shed = 0;
-  std::uint64_t breaker_opens = 0;
-  std::array<std::uint64_t, llm::ClientStats::kRetryLatencyBuckets>
-      judge_retry_latency_hist{};
   /// Registry snapshot taken at the end of the run, while the run-scoped
   /// probes (client, judge cache, queues) were still registered. Empty when
   /// PipelineConfig::registry was null.

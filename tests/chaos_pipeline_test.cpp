@@ -130,7 +130,7 @@ void run_sweep(std::uint64_t corpus_seed) {
   const PipelineResult baseline = run_chaos(files, 0.0, 1);
   assert_accounted(baseline);
   EXPECT_EQ(baseline.judge_errors, 0u);
-  EXPECT_EQ(baseline.judge_retries, 0u);
+  EXPECT_EQ(baseline.judge_client.retries, 0u);
 
   for (const double rate : {0.0, 0.05, 0.20}) {
     SCOPED_TRACE("transient_rate=" + std::to_string(rate));
@@ -147,20 +147,20 @@ void run_sweep(std::uint64_t corpus_seed) {
     if (rate == 0.0) {
       // The fault-free sweep member is the baseline, bit for bit.
       EXPECT_EQ(result.judge_errors, 0u);
-      EXPECT_EQ(result.judge_retries, 0u);
+      EXPECT_EQ(result.judge_client.retries, 0u);
       // Totals accumulate across worker threads in nondeterministic order,
       // so allow FP-summation noise; per-record costs are asserted exact
       // through the verdict byte-identity above.
       EXPECT_NEAR(result.judge_gpu_seconds, baseline.judge_gpu_seconds,
                   1e-6 * baseline.judge_gpu_seconds);
-      for (const auto& bucket : result.judge_retry_latency_hist) {
+      for (const auto& bucket : result.judge_client.retry_latency_hist) {
         EXPECT_EQ(bucket, 0u);
       }
     } else {
       // Faults really fired and the retry layer really paid for them.
-      EXPECT_GT(result.judge_retries, 0u);
+      EXPECT_GT(result.judge_client.retries, 0u);
       std::uint64_t hist_total = 0;
-      for (const auto& bucket : result.judge_retry_latency_hist) {
+      for (const auto& bucket : result.judge_client.retry_latency_hist) {
         hist_total += bucket;
       }
       EXPECT_GT(hist_total, 0u);
@@ -186,7 +186,7 @@ TEST(ChaosPipelineTest, TightRetryBudgetStillAccountsForEverything) {
   const PipelineResult result = run_chaos(files, 0.35, /*max_attempts=*/2);
   assert_accounted(result);
   assert_verdicts_match(result, baseline);
-  EXPECT_GT(result.judge_retries, 0u);
+  EXPECT_GT(result.judge_client.retries, 0u);
 }
 #endif
 

@@ -466,8 +466,8 @@ TEST(AsyncShutdownTest, DestroyMidBackoffCancelsTheRetry) {
 // ---------------------------------------------------------------------------
 // Occupancy histogram buckets: the seven fixed edges are a documented
 // contract (client.hpp header comment, docs/ASYNC_API.md) — bench JSON and
-// PipelineResult::judge_occupancy_hist reuse them, so moving an edge is a
-// silent telemetry break. Pin every boundary.
+// PipelineResult::judge_client.occupancy_hist reuse them, so moving an edge
+// is a silent telemetry break. Pin every boundary.
 // ---------------------------------------------------------------------------
 
 TEST(OccupancyBucketTest, EdgesArePinned) {

@@ -1,12 +1,13 @@
-// Registry/legacy consistency suite (the PR 8 observability invariant):
+// Registry/stats consistency suite (the PR 8 observability invariant):
 // for every chaos and cache configuration, (a) each input file resolves as
-// exactly one of judged / judge_error with nothing dropped, and (b) the
-// metrics registry's counter totals exactly equal the pre-existing
-// PipelineResult / ClientStats / JudgeCacheStats snapshot fields they
-// subsume — the probes scrape the same stats() snapshots, so any drift is
-// a wiring bug, not noise. Also pins paper-mode accounting (the seed-exact
-// 1606.13 simulated GPU seconds) with the registry and tracer attached,
-// and asserts full per-file span coverage in the collected trace.
+// exactly one of judged / judge_error with nothing dropped, and (b) every
+// registry sample exactly equals the stats-struct field it reads. The
+// checks expand the X-macro lists that declare the metrics
+// (LLM4VV_PIPELINE_COUNTERS, LLM4VV_CLIENT_STATS, LLM4VV_JUDGE_CACHE_STATS),
+// so a new statistic is checked without touching this file. Also pins
+// paper-mode accounting (the seed-exact 1606.13 simulated GPU seconds)
+// with the registry and tracer attached, and asserts full per-file span
+// coverage in the collected trace.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -101,83 +102,58 @@ ObsRun run_observed(const std::vector<frontend::SourceFile>& files,
   return run;
 }
 
-double metric(const obs::MetricsSnapshot& snapshot, const std::string& name) {
-  const obs::MetricSample* found = obs::find_sample(snapshot, name);
-  EXPECT_NE(found, nullptr) << "metric missing: " << name;
+double metric(const obs::MetricsSnapshot& snapshot, const std::string& name,
+              const std::string& label = "") {
+  const obs::MetricSample* found = obs::find_sample(snapshot, name, label);
+  EXPECT_NE(found, nullptr) << "metric missing: " << name << " " << label;
   return found != nullptr ? found->value : -1.0;
 }
 
-/// The invariant: every registry total equals the legacy snapshot field it
-/// subsumes, exactly.
+/// The invariant: every registry sample equals the struct field it reads,
+/// exactly — one check per entry of each metric list.
 void assert_registry_matches(const ObsRun& run) {
   const PipelineResult& result = run.result;
   const obs::MetricsSnapshot& m = result.metrics;
   ASSERT_FALSE(m.empty());
 
-  // Owned pipeline counters vs PipelineResult / StageStats.
-  EXPECT_EQ(metric(m, "pipeline.files"), double(result.records.size()));
-  EXPECT_EQ(metric(m, "pipeline.dropped"), double(result.dropped_items));
-  EXPECT_EQ(metric(m, "pipeline.compile.processed"),
-            double(result.compile_stage.processed));
-  EXPECT_EQ(metric(m, "pipeline.compile.rejected"),
-            double(result.compile_stage.rejected));
-  EXPECT_EQ(metric(m, "pipeline.compile.cache_hits"),
-            double(result.compile_cache_hits));
-  EXPECT_EQ(metric(m, "pipeline.compile.persisted_hits"),
-            double(result.compile_persisted_hits));
-  EXPECT_EQ(metric(m, "pipeline.execute.processed"),
-            double(result.execute_stage.processed));
-  EXPECT_EQ(metric(m, "pipeline.execute.rejected"),
-            double(result.execute_stage.rejected));
-  EXPECT_EQ(metric(m, "pipeline.execute.fused_instructions"),
-            double(result.execute_fused_instructions));
+  // Pipeline counters vs PipelineResult: the registry is fresh, so its
+  // cross-run totals are this run's.
+#define CHECK_PIPELINE_COUNTER(name, member) \
+  EXPECT_EQ(metric(m, "pipeline." name), double(result.member)) << name;
+  LLM4VV_PIPELINE_COUNTERS(CHECK_PIPELINE_COUNTER)
+#undef CHECK_PIPELINE_COUNTER
   // The default executor fuses, and a corpus this size always contains
   // fusable sequences.
   EXPECT_GT(result.execute_fused_instructions, 0u);
   EXPECT_GT(result.execute_fusion_patterns, 0u);
-  EXPECT_EQ(metric(m, "pipeline.judge.processed"),
-            double(result.judge_stage.processed));
-  EXPECT_EQ(metric(m, "pipeline.judge.rejected"),
-            double(result.judge_stage.rejected));
-  EXPECT_EQ(metric(m, "pipeline.judge.cache_hits"),
-            double(result.judge_cache_hits));
-  EXPECT_EQ(metric(m, "pipeline.judge.cache_misses"),
-            double(result.judge_cache_misses));
-  EXPECT_EQ(metric(m, "pipeline.judge.persisted_hits"),
-            double(result.judge_persisted_hits));
-  EXPECT_EQ(metric(m, "pipeline.judge.errors"), double(result.judge_errors));
-  // Chunk histogram count = total pops; its sum = items popped = files (in
-  // kRecordAll nothing is filtered before the judge queue).
-  EXPECT_EQ(metric(m, "pipeline.judge.chunk_size.sum"),
-            double(result.judge_stage.processed));
 
-  // Client probes vs ClientStats (the client served only this run).
+  // Client probes vs ClientStats. The client served only this run, so the
+  // run's window (PipelineResult::judge_client) equals its lifetime stats.
   const llm::ClientStats stats = run.client->stats();
-  EXPECT_EQ(metric(m, "pipeline.client.requests"), double(stats.requests));
-  EXPECT_EQ(metric(m, "pipeline.client.gpu_seconds"), stats.gpu_seconds);
-  EXPECT_EQ(metric(m, "pipeline.client.formed_batches"),
-            double(stats.formed_batches));
-  EXPECT_EQ(metric(m, "pipeline.client.flush_immediate"),
-            double(stats.flush_immediate));
-  EXPECT_EQ(metric(m, "pipeline.client.retries"), double(stats.retries));
-  EXPECT_EQ(metric(m, "pipeline.client.failed_requests"),
-            double(stats.failed_requests));
-  EXPECT_EQ(metric(m, "pipeline.client.breaker_opens"),
-            double(stats.breaker_opens));
-  // The run-windowed PipelineResult resilience fields equal the client's
-  // lifetime counters here because the client is run-scoped.
-  EXPECT_EQ(double(result.judge_retries), double(stats.retries));
-  EXPECT_EQ(double(result.judge_formed_batches),
-            double(stats.formed_batches));
+  const llm::ClientStats& window = result.judge_client;
+#define CHECK_CLIENT_STAT(type, name)                                   \
+  EXPECT_EQ(metric(m, "pipeline.client." #name), double(stats.name))    \
+      << #name;                                                         \
+  EXPECT_EQ(window.name, stats.name) << #name;
+#define CHECK_CLIENT_HIST(member, name, buckets, label)                 \
+  for (std::size_t i = 0; i < buckets; ++i) {                           \
+    EXPECT_EQ(metric(m, "pipeline.client." #name, label(i)),            \
+              double(stats.member[i]))                                  \
+        << #name << " " << label(i);                                    \
+    EXPECT_EQ(window.member[i], stats.member[i]) << #name << " " << i;  \
+  }
+  LLM4VV_CLIENT_STATS(CHECK_CLIENT_STAT, CHECK_CLIENT_STAT,
+                      CHECK_CLIENT_HIST)
+#undef CHECK_CLIENT_STAT
+#undef CHECK_CLIENT_HIST
 
   // Judge cache probes vs JudgeCacheStats.
   const judge::JudgeCacheStats cache = run.judge->cache_stats();
-  EXPECT_EQ(metric(m, "pipeline.judge_cache.hits"), double(cache.hits));
-  EXPECT_EQ(metric(m, "pipeline.judge_cache.misses"), double(cache.misses));
-  EXPECT_EQ(metric(m, "pipeline.judge_cache.evictions"),
-            double(cache.evictions));
-  EXPECT_EQ(metric(m, "pipeline.judge_cache.persisted_hits"),
-            double(cache.persisted_hits));
+#define CHECK_JUDGE_CACHE_STAT(name)                                        \
+  EXPECT_EQ(metric(m, "pipeline.judge_cache." #name), double(cache.name)) \
+      << #name;
+  LLM4VV_JUDGE_CACHE_STATS(CHECK_JUDGE_CACHE_STAT)
+#undef CHECK_JUDGE_CACHE_STAT
 
   // Queue probes were captured in the snapshot (drained to empty).
   EXPECT_EQ(metric(m, "pipeline.queue.judge.depth"), 0.0);

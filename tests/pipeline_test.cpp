@@ -300,14 +300,14 @@ TEST(PipelineTest, BatchedJudgingFillsBatchesAndSavesGpuSeconds) {
       make_batched_pipeline(8, core::make_simulated_client(4)).run(files);
 
   // The sequential path never batches.
-  EXPECT_EQ(sequential.judge_batches, 0u);
-  EXPECT_EQ(sequential.judge_batch_occupancy, 0.0);
+  EXPECT_EQ(sequential.judge_client.batches, 0u);
+  EXPECT_EQ(sequential.judge_client.batch_occupancy(), 0.0);
 
   // The batched path actually filled forward passes...
-  EXPECT_GT(batched.judge_batches, 0u);
-  EXPECT_GT(batched.judge_batch_occupancy, 1.0);
-  EXPECT_GE(batched.judge_max_batch, 2u);
-  EXPECT_EQ(batched.judge_batched_prompts,
+  EXPECT_GT(batched.judge_client.batches, 0u);
+  EXPECT_GT(batched.judge_client.batch_occupancy(), 1.0);
+  EXPECT_GE(batched.judge_client.max_batch, 2u);
+  EXPECT_EQ(batched.judge_client.batched_prompts,
             static_cast<std::uint64_t>(batched.judge_stage.processed));
   // ...and amortizing prefill across them costs measurably fewer simulated
   // GPU seconds than one call per file.
@@ -351,19 +351,21 @@ TEST(PipelineTest, AdaptiveWindowVerdictsMatchSequentialAndBatchesForm) {
               adaptive.records[i].judge_says_valid)
         << i;
   }
-  EXPECT_GT(adaptive.judge_formed_batches, 0u);
-  EXPECT_GT(adaptive.judge_batch_occupancy, 1.0);
+  EXPECT_GT(adaptive.judge_client.formed_batches, 0u);
+  EXPECT_GT(adaptive.judge_client.batch_occupancy(), 1.0);
   // The flush reasons must be adaptive ones: nothing flushes "immediately"
   // when a window is configured.
-  EXPECT_EQ(adaptive.judge_flush_immediate, 0u);
-  EXPECT_GT(adaptive.judge_flush_full + adaptive.judge_flush_window, 0u);
+  EXPECT_EQ(adaptive.judge_client.flush_immediate, 0u);
+  EXPECT_GT(
+      adaptive.judge_client.flush_full + adaptive.judge_client.flush_window,
+      0u);
   // Amortized passes cost no more simulated GPU time than sequential.
   EXPECT_LT(adaptive.judge_gpu_seconds, sequential.judge_gpu_seconds);
 }
 
 TEST(PipelineTest, OccupancyIsComputedFromFormedBatchesNotPoppedChunks) {
-  // Satellite regression: judge_batch_occupancy must follow the batcher's
-  // formed passes. With the batcher capped below judge_batch_size, the
+  // Regression: the reported occupancy must follow the batcher's formed
+  // passes. With the batcher capped below judge_batch_size, the
   // popped-chunk groups (up to 8) are split into passes of at most 4 — the
   // reported occupancy must be the formed-pass number (<= cap), computed
   // exactly from the client's counters, even though the old popped-chunk
@@ -378,19 +380,18 @@ TEST(PipelineTest, OccupancyIsComputedFromFormedBatchesNotPoppedChunks) {
 
   const auto stats = client->stats();
   ASSERT_GT(stats.batches, 0u);
-  EXPECT_DOUBLE_EQ(result.judge_batch_occupancy,
+  const llm::ClientStats& window = result.judge_client;
+  EXPECT_DOUBLE_EQ(window.batch_occupancy(),
                    static_cast<double>(stats.batched_prompts) /
                        static_cast<double>(stats.batches));
-  EXPECT_LE(result.judge_batch_occupancy, 4.0);  // capped by the batcher
-  EXPECT_EQ(result.judge_formed_batches, stats.formed_batches);
-  // The popped-chunk counters still tell the worker-side story and may
-  // exceed the cap (a group of up to 8 submitted at once).
-  EXPECT_GE(result.judge_max_batch, result.judge_batch_occupancy);
+  EXPECT_LE(window.batch_occupancy(), 4.0);  // capped by the batcher
+  EXPECT_LE(window.max_batch, 4u);  // no formed pass exceeds the cap
+  EXPECT_EQ(window.formed_batches, stats.formed_batches);
   // Histogram and telemetry flowed through.
   std::uint64_t hist_total = 0;
-  for (const auto bucket : result.judge_occupancy_hist) hist_total += bucket;
-  EXPECT_EQ(hist_total, result.judge_formed_batches);
-  EXPECT_GT(result.judge_queue_depth_peak, 0u);
+  for (const auto bucket : window.occupancy_hist) hist_total += bucket;
+  EXPECT_EQ(hist_total, window.formed_batches);
+  EXPECT_GT(window.pending_high_water, 0u);
 }
 
 TEST(PipelineTest, RepeatedAdaptiveRunsLeaveNoStrandedState) {
@@ -398,7 +399,8 @@ TEST(PipelineTest, RepeatedAdaptiveRunsLeaveNoStrandedState) {
   // a windowed batcher (flusher thread active, futures in flight inside
   // every run) must drain completely every time — and afterwards the judge
   // must answer instantly from a fully published cache, proving no claim
-  // was left in flight.
+  // was left in flight. The attached registry checks the run window and
+  // the cross-run totals.
   const auto probed = probed_batch(2, 10);
   const auto files = files_of(probed);
   llm::BatcherConfig batcher;
@@ -413,6 +415,7 @@ TEST(PipelineTest, RepeatedAdaptiveRunsLeaveNoStrandedState) {
   config.execute_workers = 2;
   config.judge_workers = 4;
   config.judge_batch_size = 4;
+  config.registry = std::make_shared<obs::Registry>();
   const ValidationPipeline pipe(testutil::clean_driver(Flavor::kOpenACC),
                                 toolchain::Executor(), judge, config);
   const auto first = pipe.run(files);
@@ -425,6 +428,23 @@ TEST(PipelineTest, RepeatedAdaptiveRunsLeaveNoStrandedState) {
     EXPECT_TRUE(second.records[i].judge_cached) << i;  // nothing stranded
   }
   EXPECT_EQ(client->pending_depth(), 0u);
+
+  // The cache-served second run reaches no model, though the client's
+  // lifetime stats hold the first run's requests.
+  EXPECT_GT(first.judge_client.requests, 0u);
+  EXPECT_EQ(second.judge_client.requests, 0u);
+  EXPECT_EQ(second.judge_client.formed_batches, 0u);
+  EXPECT_GT(client->stats().requests, 0u);
+  // The permanent pipeline counters total both runs.
+  const auto total = [&](const char* name) {
+    const obs::MetricSample* sample = obs::find_sample(second.metrics, name);
+    return sample != nullptr ? sample->value : -1.0;
+  };
+  EXPECT_EQ(total("pipeline.files"),
+            double(first.records.size() + second.records.size()));
+  EXPECT_EQ(total("pipeline.judge.processed"),
+            double(first.judge_stage.processed +
+                   second.judge_stage.processed));
 }
 
 TEST(PipelineTest, StageStatsAreConsistent) {

@@ -36,7 +36,9 @@ void expect_identical(const ExecResult& ref, const ExecResult& got,
   EXPECT_EQ(ref.steps, got.steps) << context;
   // Telemetry sanity rides along: fusion off must report zero fused sites,
   // and pattern count can never exceed site count.
-  if (!fuse) EXPECT_EQ(got.fused_instructions, 0u) << context;
+  if (!fuse) {
+    EXPECT_EQ(got.fused_instructions, 0u) << context;
+  }
   EXPECT_LE(got.fusion_patterns, got.fused_instructions) << context;
 }
 

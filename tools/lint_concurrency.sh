@@ -21,7 +21,7 @@
 #      nothing the analysis can see.
 #   3. No std::atomic members in src/obs/ headers outside cells.hpp. The
 #      metrics registry's whole design is that hot-path writes go through
-#      the sharded cell types (CounterCells/GaugeCell in obs/cells.hpp),
+#      the sharded cell types (CounterCells in obs/cells.hpp),
 #      which own contention layout and scrape semantics; an ad-hoc atomic
 #      counter member in another obs header bypasses the registry and
 #      silently reintroduces the shared-cacheline hot spot the cells
@@ -106,7 +106,7 @@ lint_obs_header_raw_atomics() {
   if [ -n "$hits" ]; then
     echo "LINT: $header declares raw std::atomic members; obs hot-path" \
          "state must use the sharded cell types from obs/cells.hpp" \
-         "(CounterCells/GaugeCell) so writes keep the registry's" \
+         "(CounterCells) so writes keep the registry's" \
          "contention layout and scrape semantics:"
     echo "$hits" | sed 's/^/    /'
     return 1
