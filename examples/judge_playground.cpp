@@ -8,8 +8,9 @@
 //   --cache-file <path>   back the judges with a content-addressed store
 //                         loaded from <path> (warm hits skip the simulated
 //                         model calls entirely)
-//   --cache-save          persist the judges' memo caches back to the file
-//                         on exit (atomic write-temp-then-rename)
+//   --cache-save          save the store, which holds every decision the
+//                         judges wrote through, back to the file on exit
+//                         (atomic write-temp-then-rename)
 // Run twice with both flags: the first run computes and saves, the second
 // reports every verdict as a persisted cache hit.
 //
@@ -336,11 +337,11 @@ int main(int argc, char** argv) {
   }
 
   if (store != nullptr && cache_save) {
-    std::size_t persisted = 0;
-    for (const auto& llmj : judges) persisted += llmj->persist_cache();
+    // The judges wrote every decision through to the store as they made
+    // it; saving puts the store's records on disk.
     if (store->save()) {
       std::fprintf(report, "\ncache: persisted %zu records to %s\n",
-                   persisted, cache_file.c_str());
+                   store->size(), cache_file.c_str());
     } else {
       std::fprintf(report, "\ncache: SAVE FAILED: %s\n",
                    store->last_error().c_str());

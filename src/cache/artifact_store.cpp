@@ -209,33 +209,22 @@ void ArtifactStore::put(std::string_view ns, std::uint64_t key,
   insert_locked(ns, key, check, std::move(fields));
 }
 
-void ArtifactStore::for_each(
-    std::string_view ns,
-    const std::function<void(std::uint64_t, std::uint64_t, const Fields&)>&
-        visit) const {
-  support::ReaderLock lock(mutex_);
-  for (const auto& mk : order_) {
-    const auto it = records_.find(mk);
-    if (it == records_.end() || it->second.ns != ns) continue;
-    visit(it->second.key, it->second.check, it->second.fields);
-  }
-}
-
 bool ArtifactStore::save() {
   if (config_.path.empty()) return true;
 
   // Savers serialize on their own mutex for the whole snapshot+write+rename
   // sequence: two concurrent save() calls would otherwise interleave writes
-  // into the shared `<path>.tmp` and publish a garbled file. Readers and
-  // writers of the in-memory map are unaffected — they only contend on
-  // `mutex_` during the snapshot below.
+  // into the shared `<path>.tmp` and publish a garbled file. With savers
+  // serialized here, the render below only reads the map, so it takes the
+  // shared lock: the judge and compile caches read through get() on every
+  // memo miss, and a save must not stall them. Only put() waits.
   support::MutexLock save_lock(save_mutex_);
 
   // Render the snapshot under the lock, write it outside: a slow disk never
-  // blocks readers longer than the serialization itself.
+  // blocks writers longer than the serialization itself.
   std::ostringstream out;
   {
-    support::WriterLock lock(mutex_);
+    support::ReaderLock lock(mutex_);
     support::JsonObject header;
     header.field("magic", std::string(kMagic))
         .field("format", static_cast<std::int64_t>(kFormat))

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -79,8 +78,9 @@ struct ArtifactStoreStats {
 /// writes the whole store to `<path>.tmp` and renames it over `path`, so a
 /// reader never observes a half-written file.
 ///
-/// Thread-safe: get() takes a shared lock (concurrent readers never
-/// serialize), put()/save() take the exclusive lock.
+/// Thread-safe: get() and save()'s snapshot render take a shared lock
+/// (concurrent readers never serialize, and a save never stalls them),
+/// put() takes the exclusive lock.
 class ArtifactStore {
  public:
   using Fields = std::map<std::string, std::string>;
@@ -98,13 +98,6 @@ class ArtifactStore {
   /// age; fresh keys enter at the back of the compaction order.
   void put(std::string_view ns, std::uint64_t key, std::uint64_t check,
            Fields fields);
-
-  /// Visit every record of one namespace in oldest-first order (used by
-  /// clients to warm-load their in-memory caches).
-  void for_each(std::string_view ns,
-                const std::function<void(std::uint64_t key,
-                                         std::uint64_t check,
-                                         const Fields& fields)>& visit) const;
 
   /// Atomically persist to the configured path (write-temp-then-rename).
   /// Returns false on IO failure (see last_error()); true and a no-op for

@@ -2,7 +2,6 @@
 
 #include <climits>
 #include <cstdlib>
-#include <vector>
 
 #include "cache/module_codec.hpp"
 #include "support/rng.hpp"
@@ -68,7 +67,6 @@ CompileCache::CompileCache(CompileCacheConfig config,
                            std::uint64_t driver_fingerprint)
     : config_(std::move(config)), driver_fingerprint_(driver_fingerprint) {
   if (config_.capacity == 0) config_.capacity = 1;
-  if (config_.store != nullptr) warm_load();
 }
 
 std::uint64_t CompileCache::key_for(
@@ -76,91 +74,72 @@ std::uint64_t CompileCache::key_for(
   return support::hash_mix(identity_hash, driver_fingerprint_);
 }
 
-void CompileCache::warm_load() {
-  // Constructor context: uncontended, the lock below is taken to satisfy
-  // the GUARDED_BY discipline on entries_/order_/stats_.
-  config_.store->for_each(
-      kNamespace,
-      [this](std::uint64_t key, std::uint64_t check,
-             const ArtifactStore::Fields& fields) {
-        support::MutexLock lock(mutex_);
-        // Only records keyed under this driver's fingerprint belong here:
-        // the check hash is the raw file identity hash, so re-deriving the
-        // key filters other personas' records. The capacity check comes
-        // before the (module-decoding, expensive) result decode so a store
-        // larger than this cache doesn't pay for entries it will discard.
-        if (key_for(check) != key) return;
-        if (entries_.size() >= config_.capacity ||
-            entries_.count(key) != 0) {
-          return;
-        }
-        auto result = decode_compile_result(fields);
-        if (!result) return;  // corrupt record: degrade to a miss
-        entries_.emplace(key, Entry{std::move(*result), check, true});
-        order_.push_back(key);
-        ++stats_.warm_loaded;
-      });
-}
-
 std::optional<toolchain::CompileResult> CompileCache::lookup(
     std::uint64_t identity_hash) const {
   const std::uint64_t key = key_for(identity_hash);
+  {
+    support::MutexLock lock(mutex_);
+    const auto it = entries_.find(key);
+    // The raw identity hash is the collision check: a mixed-key collision
+    // between two distinct files degrades to a miss, never a wrong result
+    // (same contract as the judge cache's probe and the store's get()).
+    if (it != entries_.end() && it->second.content_hash == identity_hash) {
+      ++stats_.hits;
+      if (it->second.persisted) ++stats_.persisted_hits;
+      toolchain::CompileResult result = it->second.result;
+      result.cached = true;
+      result.persisted = it->second.persisted;
+      return result;
+    }
+    if (config_.store == nullptr) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+  }
+  // Memo miss: read through to the store outside the lock (the get and the
+  // module decode are the expensive part). The store re-checks the identity
+  // hash, and the key mixes in this driver's fingerprint, so another
+  // persona's record is never found; a corrupt record degrades to a miss.
+  std::optional<toolchain::CompileResult> result;
+  const auto fields = config_.store->get(kNamespace, key, identity_hash);
+  if (fields) result = decode_compile_result(*fields);
   support::MutexLock lock(mutex_);
-  const auto it = entries_.find(key);
-  // The raw identity hash is the collision check: a mixed-key collision
-  // between two distinct files degrades to a miss, never a wrong result
-  // (same contract as the judge cache's probe and the store's get()).
-  if (it == entries_.end() || it->second.content_hash != identity_hash) {
+  if (!result) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  if (it->second.persisted) ++stats_.persisted_hits;
-  toolchain::CompileResult result = it->second.result;
-  result.cached = true;
-  result.persisted = it->second.persisted;
+  ++stats_.persisted_hits;
+  insert_locked(key, Entry{*result, identity_hash, true});
+  result->cached = true;
+  result->persisted = true;
   return result;
 }
 
 void CompileCache::insert(std::uint64_t identity_hash,
                           const toolchain::CompileResult& result) {
   const std::uint64_t key = key_for(identity_hash);
+  // Write through before the memo insert, so an entry the memo evicts is
+  // already in the store for the next lookup to read back.
+  if (config_.store != nullptr) {
+    config_.store->put(kNamespace, key, identity_hash,
+                       encode_compile_result(result));
+  }
   toolchain::CompileResult stored = result;
   stored.cached = false;
   stored.persisted = false;
   support::MutexLock lock(mutex_);
-  if (!entries_.emplace(key, Entry{std::move(stored), identity_hash, false})
-           .second) {
-    return;
-  }
+  insert_locked(key, Entry{std::move(stored), identity_hash, false});
+}
+
+void CompileCache::insert_locked(std::uint64_t key, Entry entry) const {
+  if (!entries_.emplace(key, std::move(entry)).second) return;
   order_.push_back(key);
   while (entries_.size() > config_.capacity) {
     entries_.erase(order_.front());
     order_.pop_front();
     ++stats_.evictions;
   }
-}
-
-std::size_t CompileCache::persist() const {
-  if (config_.store == nullptr) return 0;
-  // Snapshot under the lock, feed the store outside it: the store takes its
-  // own exclusive lock per put and may be shared with the judge.
-  std::vector<std::pair<std::uint64_t, toolchain::CompileResult>> snapshot;
-  {
-    support::MutexLock lock(mutex_);
-    snapshot.reserve(entries_.size());
-    for (const std::uint64_t key : order_) {
-      const auto it = entries_.find(key);
-      if (it == entries_.end()) continue;
-      auto result = it->second.result;
-      snapshot.emplace_back(it->second.content_hash, std::move(result));
-    }
-  }
-  for (const auto& [content_hash, result] : snapshot) {
-    config_.store->put(kNamespace, key_for(content_hash), content_hash,
-                       encode_compile_result(result));
-  }
-  return snapshot.size();
 }
 
 CompileCacheStats CompileCache::stats() const {

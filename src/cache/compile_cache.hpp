@@ -16,28 +16,31 @@ struct CompileCacheConfig {
   /// (immutable) lowered module, so a cached result is a handful of strings
   /// plus one shared_ptr.
   std::size_t capacity = 4096;
-  /// Optional persistence: when set, the cache warm-loads every "compile"
-  /// record whose driver fingerprint matches at construction and persist()
-  /// snapshots the memo back. Null keeps the cache purely in-memory.
+  /// Optional second tier. When set, a memo miss reads through to the
+  /// store's "compile" record for this driver fingerprint (decoding it into
+  /// the memo), and every freshly compiled result is written through to
+  /// the store on insert(); the caller saves the store when it wants the
+  /// records on disk. Null keeps the cache purely in-memory.
   std::shared_ptr<ArtifactStore> store;
 };
 
 struct CompileCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  /// Hits served by an entry that was warm-loaded from the artifact store
-  /// (i.e. the front-end was skipped thanks to a previous process run).
+  /// Hits served by the store tier: a memo miss the store answered, or a
+  /// hit on the memo entry such a read filled (the front-end was skipped
+  /// thanks to a record in the artifact store).
   std::uint64_t persisted_hits = 0;
   std::uint64_t evictions = 0;
-  /// Records decoded from the store at construction.
-  std::uint64_t warm_loaded = 0;
 };
 
 /// Content-addressed memo of full CompileResults for one driver
 /// configuration. Byte-identical files skip the lexer/parser/sema/lower
 /// front-end entirely — within a run, across runs in one process, and
 /// (through the artifact store, which serializes diagnostics and the
-/// lowered bytecode module) across process runs.
+/// lowered bytecode module) across process runs. The memo is the first
+/// tier, the optional store the second: a memo miss reads through to the
+/// store, an insert writes through to it.
 ///
 /// The key mixes the file's identity hash (content + name + language; see
 /// toolchain::file_identity_hash) with a fingerprint of the driver
@@ -45,30 +48,31 @@ struct CompileCacheStats {
 /// so one cache — and one store file — can serve several personas without
 /// cross-talk; the raw identity hash rides along as the collision check.
 ///
-/// Thread-safe; one mutex. Compilation is orders of magnitude more
-/// expensive than the critical section, so sharding (as in the judge's
-/// memo cache) is not worth its footprint here.
+/// Thread-safe; one mutex, never held across a store call or a record
+/// decode. Compilation is orders of magnitude more expensive than the
+/// critical section, so sharding (as in the judge's memo cache) is not
+/// worth its footprint here.
 class CompileCache {
  public:
   /// `driver_fingerprint` must uniquely describe the compiling driver's
   /// configuration; CompilerDriver computes it (see driver_fingerprint()).
   CompileCache(CompileCacheConfig config, std::uint64_t driver_fingerprint);
 
-  /// Look up the result for a file identity hash. The returned result is a
-  /// copy whose `cached` flag is set (and `persisted` when the entry came
-  /// from the store).
+  /// Look up the result for a file identity hash in the memo, then in the
+  /// store. The returned result is a copy whose `cached` flag is set (and
+  /// `persisted` when the store tier served it).
   std::optional<toolchain::CompileResult> lookup(
       std::uint64_t identity_hash) const;
 
-  /// Memoize a freshly compiled result.
+  /// Memoize a freshly compiled result and write it through to the store
+  /// (namespace "compile"). Does not save the store — the caller decides
+  /// when to hit the disk, so one save can cover the judge's records too.
   void insert(std::uint64_t identity_hash,
               const toolchain::CompileResult& result);
 
-  /// Snapshot every memoized entry into the artifact store (namespace
-  /// "compile"). Does not save the store — the caller decides when to hit
-  /// the disk, so one save can cover the judge's records too. Returns the
-  /// number of records written; 0 without a store.
-  std::size_t persist() const;
+  /// No-op kept for source compatibility: insert() writes every result
+  /// through to the store, so there is nothing left to snapshot. Returns 0.
+  std::size_t persist() const { return 0; }
 
   CompileCacheStats stats() const;
   const CompileCacheConfig& config() const noexcept { return config_; }
@@ -77,23 +81,27 @@ class CompileCache {
   struct Entry {
     toolchain::CompileResult result;
     std::uint64_t content_hash = 0;  ///< file identity hash (store check)
-    bool persisted = false;          ///< warm-loaded from the store
+    bool persisted = false;          ///< filled by a read from the store
   };
 
   std::uint64_t key_for(std::uint64_t content_hash) const noexcept;
-  void warm_load() EXCLUDES(mutex_);
+  /// Memo insert with FIFO eviction; a present key keeps its entry. Const
+  /// because lookup() fills the memo from the store (a logically-const
+  /// read, like the judge's mutable shards).
+  void insert_locked(std::uint64_t key, Entry entry) const REQUIRES(mutex_);
 
   CompileCacheConfig config_;
   std::uint64_t driver_fingerprint_ = 0;
 
   mutable support::Mutex mutex_;
-  std::unordered_map<std::uint64_t, Entry> entries_ GUARDED_BY(mutex_);
-  std::deque<std::uint64_t> order_ GUARDED_BY(mutex_);
+  mutable std::unordered_map<std::uint64_t, Entry> entries_
+      GUARDED_BY(mutex_);
+  mutable std::deque<std::uint64_t> order_ GUARDED_BY(mutex_);
   mutable CompileCacheStats stats_ GUARDED_BY(mutex_);
 };
 
 /// Encode/decode one CompileResult as artifact-store fields (exposed for
-/// tests; persist()/warm_load() use these).
+/// tests; insert()/lookup() use these).
 ArtifactStore::Fields encode_compile_result(
     const toolchain::CompileResult& result);
 std::optional<toolchain::CompileResult> decode_compile_result(

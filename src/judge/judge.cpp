@@ -34,10 +34,12 @@ void finish_decision(JudgeDecision& decision, llm::Completion completion) {
 }
 
 // ---------------------------------------------------------------------------
-// Artifact-store record codec. The persisted fields are exactly what a
-// published cache entry holds, so a warm hit is byte-identical to the cold
-// decision it snapshots — latency included (%.17g round-trips doubles
-// exactly).
+// Artifact-store record codec. The persisted fields are what a published
+// cache entry holds except the prompt, which is most of a record and which
+// build_prompt rebuilds from the request on a store hit. So a warm hit is
+// byte-identical to the cold decision — latency included (%.17g round-trips
+// doubles exactly). Records written before the prompt was dropped still
+// decode: their `prompt` field is ignored.
 // ---------------------------------------------------------------------------
 
 cache::ArtifactStore::Fields encode_decision(llm::PromptStyle style,
@@ -46,7 +48,6 @@ cache::ArtifactStore::Fields encode_decision(llm::PromptStyle style,
   fields["style"] = std::to_string(static_cast<int>(style));
   fields["verdict"] = std::to_string(static_cast<int>(decision.verdict));
   fields["says_valid"] = decision.says_valid ? "1" : "0";
-  fields["prompt"] = decision.prompt;
   fields["text"] = decision.completion.text;
   fields["ptok"] = std::to_string(decision.completion.prompt_tokens);
   fields["ctok"] = std::to_string(decision.completion.completion_tokens);
@@ -62,13 +63,12 @@ bool decode_decision(const cache::ArtifactStore::Fields& fields,
   const std::string* style_text = find_field(fields, "style");
   const std::string* verdict_text = find_field(fields, "verdict");
   const std::string* says_valid = find_field(fields, "says_valid");
-  const std::string* prompt = find_field(fields, "prompt");
   const std::string* text = find_field(fields, "text");
   const std::string* ptok = find_field(fields, "ptok");
   const std::string* ctok = find_field(fields, "ctok");
   const std::string* latency = find_field(fields, "latency");
   if (style_text == nullptr || verdict_text == nullptr ||
-      says_valid == nullptr || prompt == nullptr || text == nullptr ||
+      says_valid == nullptr || text == nullptr ||
       ptok == nullptr || ctok == nullptr || latency == nullptr) {
     return false;
   }
@@ -95,7 +95,6 @@ bool decode_decision(const cache::ArtifactStore::Fields& fields,
   out = JudgeDecision{};
   out.verdict = static_cast<Verdict>(verdict_value);
   out.says_valid = *says_valid == "1";
-  out.prompt = *prompt;
   out.completion.text = *text;
   out.completion.prompt_tokens = static_cast<std::size_t>(prompt_tokens);
   out.completion.completion_tokens =
@@ -112,7 +111,8 @@ bool decode_decision(const cache::ArtifactStore::Fields& fields,
 
 /// Shared state behind a JudgeFuture. Resolution is idempotent and runs
 /// under the state's own mutex; the kinds mirror the probe outcomes:
-///  - kReady:    a cache hit, decision filled at submission time;
+///  - kReady:    a cache hit (memo or store), decision filled at
+///               submission time;
 ///  - kOwner:    this future owns the model submission (and, with the
 ///               cache enabled, the claimed in-flight key it must publish
 ///               or abandon);
@@ -202,8 +202,7 @@ struct JudgeFuture::State {
           break;
         }
         case Kind::kPeerWait:
-          decision = judge->wait_for(key, content_hash, *request.file,
-                                     request.compile, request.exec, seed);
+          decision = judge->wait_for(key, content_hash, request, seed);
           break;
       }
       resolved = true;
@@ -281,34 +280,7 @@ Llmj::Llmj(std::shared_ptr<llm::ModelClient> client, llm::PromptStyle style,
     for (std::size_t i = 0; i < shard_count; ++i) {
       shards_.push_back(std::make_unique<CacheShard>());
     }
-    if (cache_config_.store != nullptr) warm_load();
   }
-}
-
-void Llmj::warm_load() {
-  // Constructor context: single-threaded, so the per-shard lock below is
-  // uncontended — taken anyway to satisfy the GUARDED_BY discipline.
-  cache_config_.store->for_each(
-      kStoreNamespace,
-      [this](std::uint64_t key, std::uint64_t content_hash,
-             const cache::ArtifactStore::Fields& fields) {
-        // Capacity check before the decode so an oversized store doesn't
-        // pay decoding for entries this shard will discard anyway.
-        CacheShard& shard = *shards_[key & shard_mask_];
-        support::MutexLock lock(shard.mutex);
-        if (shard.entries.size() >= shard_capacity_ ||
-            shard.entries.count(key) != 0) {
-          return;
-        }
-        JudgeDecision decision;
-        // Records of other prompt styles (decode checks the style field)
-        // and corrupt records degrade to a miss, never a wrong verdict.
-        if (!decode_decision(fields, style_, decision)) return;
-        shard.entries.emplace(
-            key, CacheEntry{content_hash, std::move(decision), true});
-        shard.order.push_back(key);
-        warm_loaded_.fetch_add(1, std::memory_order_relaxed);
-      });
 }
 
 std::uint64_t Llmj::cache_key(std::uint64_t content_hash,
@@ -377,12 +349,19 @@ Llmj::Probe Llmj::probe_or_claim(std::uint64_t key,
 }
 
 void Llmj::publish(std::uint64_t key, std::uint64_t content_hash,
-                   const JudgeDecision& decision) const {
+                   const JudgeDecision& decision, bool from_store) const {
+  // Write through before the memo insert, so an entry the memo evicts is
+  // already in the store for the next miss to read back.
+  if (!from_store && cache_config_.store != nullptr) {
+    cache_config_.store->put(kStoreNamespace, key, content_hash,
+                             encode_decision(style_, decision));
+  }
   CacheShard& shard = *shards_[key & shard_mask_];
   {
     support::MutexLock lock(shard.mutex);
     shard.inflight.erase(key);
-    if (shard.entries.emplace(key, CacheEntry{content_hash, decision})
+    if (shard.entries
+            .emplace(key, CacheEntry{content_hash, decision, from_store})
             .second) {
       shard.order.push_back(key);
       while (shard.entries.size() > shard_capacity_) {
@@ -393,6 +372,25 @@ void Llmj::publish(std::uint64_t key, std::uint64_t content_hash,
     }
   }
   shard.done.notify_all();
+}
+
+bool Llmj::read_through(std::uint64_t key, std::uint64_t content_hash,
+                        const JudgeRequest& request,
+                        JudgeDecision& out) const {
+  if (cache_config_.store == nullptr) return false;
+  const auto fields =
+      cache_config_.store->get(kStoreNamespace, key, content_hash);
+  // Records of other prompt styles (decode checks the style field) and
+  // corrupt records degrade to a miss, never a wrong verdict.
+  if (!fields || !decode_decision(*fields, style_, out)) return false;
+  out.prompt =
+      build_prompt(style_, *request.file, request.compile, request.exec);
+  publish(key, content_hash, out, /*from_store=*/true);
+  out.cached = true;
+  out.persisted = true;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  persisted_hits_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 bool Llmj::published(std::uint64_t key, std::uint64_t content_hash) const {
@@ -412,9 +410,7 @@ void Llmj::abandon(std::uint64_t key) const {
 }
 
 JudgeDecision Llmj::wait_for(std::uint64_t key, std::uint64_t content_hash,
-                             const frontend::SourceFile& file,
-                             const toolchain::CompileResult* compile,
-                             const toolchain::ExecutionRecord* exec,
+                             const JudgeRequest& request,
                              std::uint64_t seed) const {
   CacheShard& shard = *shards_[key & shard_mask_];
   {
@@ -436,10 +432,12 @@ JudgeDecision Llmj::wait_for(std::uint64_t key, std::uint64_t content_hash,
     // key): take over as the new owner of this key.
     shard.inflight.insert(key);
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   JudgeDecision decision;
   try {
-    decision = evaluate_uncached(file, compile, exec, seed);
+    if (read_through(key, content_hash, request, decision)) return decision;
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    decision = evaluate_uncached(*request.file, request.compile,
+                                 request.exec, seed);
     publish(key, content_hash, decision);
   } catch (...) {
     // abandon() after a part-way publish is a harmless no-op erase plus a
@@ -487,7 +485,6 @@ JudgeFuture Llmj::evaluate_async(const JudgeRequest& request,
     case Probe::kClaimed:
       break;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   state->kind = JudgeFuture::State::Kind::kOwner;
   state->key = key;
   state->content_hash = content_hash;
@@ -495,6 +492,13 @@ JudgeFuture Llmj::evaluate_async(const JudgeRequest& request,
   // From here on the state's destructor abandons the claim if this future
   // never resolves — a throw below (or a dropped future) can't strand
   // anyone waiting on the key.
+  if (read_through(key, content_hash, request, state->decision)) {
+    state->kind = JudgeFuture::State::Kind::kReady;
+    state->publish_on_resolve = false;
+    state->resolved = true;
+    return JudgeFuture(std::move(state));
+  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
   state->decision.prompt =
       build_prompt(style_, *request.file, request.compile, request.exec);
   state->completion = client_->submit(state->decision.prompt, params);
@@ -576,6 +580,14 @@ std::vector<JudgeFuture> Llmj::evaluate_async_many(
         state.key = key;
         state.content_hash = content_hash;
         state.publish_on_resolve = true;
+        // Served by the store: published, so a later copy in this batch
+        // hits the memo instead of following this item.
+        if (read_through(key, content_hash, batch[i], state.decision)) {
+          state.kind = JudgeFuture::State::Kind::kReady;
+          state.publish_on_resolve = false;
+          state.resolved = true;
+          break;
+        }
         batch_leader.emplace(key, i);
         miss_indices.push_back(i);
         break;
@@ -667,33 +679,6 @@ void Llmj::clear_cache() {
     }
     shard->done.notify_all();
   }
-}
-
-std::size_t Llmj::persist_cache() const {
-  if (cache_config_.store == nullptr || !cache_config_.enabled) return 0;
-  // Snapshot each shard under its lock, feed the store outside: evaluation
-  // can keep publishing while the snapshot is written out.
-  struct Snapshot {
-    std::uint64_t key;
-    std::uint64_t content_hash;
-    JudgeDecision decision;
-  };
-  std::vector<Snapshot> snapshots;
-  for (const auto& shard : shards_) {
-    support::MutexLock lock(shard->mutex);
-    for (const std::uint64_t key : shard->order) {
-      const auto it = shard->entries.find(key);
-      if (it == shard->entries.end()) continue;
-      snapshots.push_back(
-          Snapshot{key, it->second.content_hash, it->second.decision});
-    }
-  }
-  for (const Snapshot& snapshot : snapshots) {
-    cache_config_.store->put(kStoreNamespace, snapshot.key,
-                             snapshot.content_hash,
-                             encode_decision(style_, snapshot.decision));
-  }
-  return snapshots.size();
 }
 
 }  // namespace llm4vv::judge

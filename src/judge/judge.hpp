@@ -27,9 +27,10 @@ struct JudgeDecision {
   /// True when this decision was served from the memoization cache (no
   /// prompt assembly, no model call, no simulated GPU time spent).
   bool cached = false;
-  /// True when the serving cache entry was warm-loaded from a persistent
-  /// artifact store: a previous process run paid for the model call.
-  /// Implies `cached`.
+  /// True when the artifact-store tier served this decision: the memo
+  /// missed and the store held it, or the memo entry serving it was filled
+  /// by such a read. The model call was paid by an earlier process run, or
+  /// by this one before the memo evicted the entry. Implies `cached`.
   bool persisted = false;
 };
 
@@ -48,13 +49,16 @@ struct JudgeCacheConfig {
   /// Shard count (rounded up to a power of two, minimum 1). Sharding keeps
   /// concurrent judge workers from serializing on one cache mutex.
   std::size_t shards = 8;
-  /// Optional persistence. When set, the Llmj warm-loads every "judge"
-  /// record of its own prompt style at construction (byte-identical
-  /// decisions on warm hits, no model call, no simulated GPU time) and
-  /// persist_cache() snapshots the sharded memo back into the store. The
-  /// store's fingerprint (corpus/model/seed) gates staleness: a mismatch
+  /// Optional second tier behind the memo. When set, a memo miss reads
+  /// through to the store's "judge" record for the key (its own prompt
+  /// style only; the prompt is rebuilt, so decisions stay byte-identical,
+  /// with no model call and no simulated GPU time), and every freshly
+  /// computed decision is written through to the store when it is
+  /// published. Call store->save() to put the records on disk. The store's
+  /// fingerprint (corpus/model/seed) gates staleness: a mismatch
   /// cold-starts the file, never serves a wrong verdict. Null (the
-  /// default) keeps the cache process-local, exactly as before.
+  /// default) keeps the cache process-local. Ignored when the memo is
+  /// disabled.
   std::shared_ptr<cache::ArtifactStore> store;
 };
 
@@ -73,10 +77,9 @@ struct JudgeCacheConfig {
 ///     worker judging the same key, or an earlier copy of the key inside
 ///     the same batch. Before in-flight dedup these were thundering-herd
 ///     misses that each paid a full simulated GPU call.
-///   persisted_hits — subset of hits served by entries warm-loaded from
-///     the persistent artifact store: cross-run savings, as opposed to
-///     in-process ones.
-///   warm_loaded — decisions decoded from the store at construction.
+///   persisted_hits — subset of hits served by the artifact-store tier
+///     (see JudgeDecision::persisted): a memo miss the store answered, or
+///     a hit on the memo entry such a read filled.
 ///   async_items — items that entered the asynchronous core (everything
 ///     does: the blocking entry points wrap evaluate_async[_many]).
 #define LLM4VV_JUDGE_CACHE_STATS(X)                                  \
@@ -85,7 +88,6 @@ struct JudgeCacheConfig {
   X(evictions)                                                       \
   X(duplicate_misses)                                                \
   X(persisted_hits)                                                  \
-  X(warm_loaded)                                                     \
   X(async_items)
 
 /// Counters of the memoization cache (monotonic over the Llmj's lifetime).
@@ -220,20 +222,20 @@ class Llmj {
   void register_metrics(obs::Registry& registry,
                         const std::string& prefix) const;
 
-  /// Drop all cached decisions (counters are kept). Also resets the
-  /// in-flight dedup sets and wakes their waiters, so a clear issued during
-  /// concurrent evaluation can never strand a thread waiting on a key whose
-  /// computation it will no longer observe; a waiter woken this way simply
-  /// recomputes. Non-const: this is a genuine mutation, not a logically-
-  /// const read through the `mutable` shards.
+  /// Drop all memoized decisions (counters are kept). The store tier is
+  /// untouched and keeps serving: a cleared key that the store holds is
+  /// read back on its next miss. Also resets the in-flight dedup sets and
+  /// wakes their waiters, so a clear issued during concurrent evaluation
+  /// can never strand a thread waiting on a key whose computation it will
+  /// no longer observe; a waiter woken this way simply recomputes.
+  /// Non-const: this is a genuine mutation, not a logically-const read
+  /// through the `mutable` shards.
   void clear_cache();
 
-  /// Snapshot every cached decision into the configured artifact store
-  /// (namespace "judge"). Does not write the file — call store->save() for
-  /// durability, so one save can also cover a compile cache sharing the
-  /// store. Safe to call while other threads evaluate. Returns the number
-  /// of records written; 0 when no store is configured.
-  std::size_t persist_cache() const;
+  /// No-op kept for source compatibility: every decision is written
+  /// through to the store when it is published, so there is nothing left
+  /// to snapshot. Returns 0.
+  std::size_t persist_cache() const { return 0; }
 
  private:
   friend class JudgeFuture;
@@ -247,7 +249,7 @@ class Llmj {
   struct CacheEntry {
     std::uint64_t content_hash = 0;
     JudgeDecision decision;
-    bool persisted = false;  ///< warm-loaded from the artifact store
+    bool persisted = false;  ///< filled by a read from the artifact store
   };
 
   /// One cache shard: its own lock, map, FIFO eviction order, and the set
@@ -277,22 +279,26 @@ class Llmj {
   /// True when the key has a published cache entry (readiness probe for
   /// peer-wait futures; takes only the shard lock, never blocks).
   bool published(std::uint64_t key, std::uint64_t content_hash) const;
+  /// Memoize a claimed key's decision and release the claim. A fresh
+  /// decision is written through to the store first; one read from the
+  /// store (`from_store`) is only memoized.
   void publish(std::uint64_t key, std::uint64_t content_hash,
-               const JudgeDecision& decision) const;
+               const JudgeDecision& decision, bool from_store = false) const;
+  /// Second tier of a claimed memo miss: when the store holds a decodable
+  /// record for the key, fill `out` (rebuilding its prompt from `request`),
+  /// publish it and count a persisted hit. False leaves the claim with the
+  /// caller. Call outside the shard lock.
+  bool read_through(std::uint64_t key, std::uint64_t content_hash,
+                    const JudgeRequest& request, JudgeDecision& out) const;
   void abandon(std::uint64_t key) const;
   JudgeDecision wait_for(std::uint64_t key, std::uint64_t content_hash,
-                         const frontend::SourceFile& file,
-                         const toolchain::CompileResult* compile,
-                         const toolchain::ExecutionRecord* exec,
+                         const JudgeRequest& request,
                          std::uint64_t seed) const;
 
   JudgeDecision evaluate_uncached(const frontend::SourceFile& file,
                                   const toolchain::CompileResult* compile,
                                   const toolchain::ExecutionRecord* exec,
                                   std::uint64_t seed) const;
-
-  /// Decode the store's "judge" records of this style into the shards.
-  void warm_load();
 
   std::shared_ptr<llm::ModelClient> client_;
   llm::PromptStyle style_;

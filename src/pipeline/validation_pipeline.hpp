@@ -99,8 +99,8 @@ struct PipelineRecord {
   bool dropped = false;
   /// True when the judge stage answered from its memoization cache.
   bool judge_cached = false;
-  /// True when the serving judge-cache entry was warm-loaded from a
-  /// persistent artifact store (cross-run hit; implies judge_cached).
+  /// True when the artifact-store tier behind the judge memo served the
+  /// decision (see JudgeDecision::persisted; implies judge_cached).
   bool judge_persisted = false;
   /// True when the compile stage was served from the compile cache (the
   /// front-end never ran for this file in this call).
@@ -174,13 +174,13 @@ struct PipelineResult {
   /// — true for every in-tree caller, where runs on a shared client are
   /// sequential. judge_client.batch_occupancy() is the headline occupancy.
   llm::ClientStats judge_client;
-  /// Judge cache hits served by entries warm-loaded from a persistent
-  /// artifact store (subset of judge_cache_hits): the cross-run savings a
-  /// warm start delivers, as opposed to in-process memoization.
+  /// Judge cache hits served by the persistent artifact-store tier
+  /// (subset of judge_cache_hits): the savings a warm start delivers, as
+  /// opposed to in-process memoization.
   std::uint64_t judge_persisted_hits = 0;
   /// Compile-stage results served from the driver's compile cache (the
-  /// front-end was skipped), and the subset that came from a persistent
-  /// store rather than this process's own earlier compiles.
+  /// front-end was skipped), and the subset the persistent store tier
+  /// served rather than the in-process memo.
   std::uint64_t compile_cache_hits = 0;
   std::uint64_t compile_persisted_hits = 0;
   /// VM dispatch core the execute stage ran with ("table" or "reference";

@@ -48,8 +48,9 @@ struct CompileResult {
   /// True when the driver served this result from its compile cache (the
   /// front-end never ran for this call).
   bool cached = false;
-  /// True when the serving cache entry was warm-loaded from a persistent
-  /// artifact store (a previous process run paid for the front-end).
+  /// True when the compile cache's persistent artifact-store tier served
+  /// this result (an earlier run, or this one before the memo evicted the
+  /// entry, paid for the front-end).
   bool persisted = false;
 };
 

@@ -1,7 +1,8 @@
 // The persistent artifact store and its building blocks: the JSONL
 // object-line reader, the module/diagnostic codecs, and the store's
 // header/fingerprint, corruption-tolerance, compaction, and concurrency
-// contracts.
+// contracts, down to a file truncated at every byte offset and read
+// through by the judge and compile caches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,8 @@
 #include "cache/compile_cache.hpp"
 #include "cache/module_codec.hpp"
 #include "corpus/generator.hpp"
+#include "judge/judge.hpp"
+#include "llm/coder_model.hpp"
 #include "support/jsonl.hpp"
 #include "tests/test_util.hpp"
 #include "toolchain/executor.hpp"
@@ -356,21 +359,6 @@ TEST(ArtifactStoreTest, OverwriteKeepsAgeAndUpdatesFields) {
   EXPECT_TRUE(store.get("judge", 2, 20).has_value());
 }
 
-TEST(ArtifactStoreTest, ForEachVisitsNamespaceInInsertionOrder) {
-  ArtifactStore store(store_config(""));
-  store.put("judge", 3, 1, {});
-  store.put("compile", 9, 1, {});
-  store.put("judge", 1, 1, {});
-  std::vector<std::uint64_t> keys;
-  store.for_each("judge",
-                 [&keys](std::uint64_t key, std::uint64_t, const auto&) {
-                   keys.push_back(key);
-                 });
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], 3u);
-  EXPECT_EQ(keys[1], 1u);
-}
-
 TEST(ArtifactStoreTest, ConcurrentReadersAndWritersStaySane) {
   TempFile file("concurrent");
   ArtifactStore store(store_config(file.path()));
@@ -400,6 +388,159 @@ TEST(ArtifactStoreTest, ConcurrentReadersAndWritersStaySane) {
   EXPECT_EQ(bad_reads.load(), 0);
   ArtifactStore reloaded(store_config(file.path()));
   EXPECT_EQ(reloaded.size(), 64u);
+}
+
+// A crash can leave the file cut anywhere. Cut a real store (two judge and
+// two compile records) at every byte offset: a cut header cold-starts,
+// every record line present is either loaded or counted corrupt, a loaded
+// record is exactly the saved one, and the judge and compile caches that
+// read through to the store serve exactly the cold decision and compile.
+TEST(ArtifactStoreTest, TruncationAtEveryOffsetNeverMisServes) {
+  const auto client = std::make_shared<llm::ModelClient>(
+      std::make_shared<const llm::SimulatedCoderModel>(), 1);
+  const auto style = llm::PromptStyle::kDirectAnalysis;
+  const auto persona = toolchain::nvc_persona();
+  const auto driver_fp = toolchain::driver_fingerprint(persona);
+  const auto tiny = [](const char* name, const char* content) {
+    frontend::SourceFile file;
+    file.name = name;
+    file.content = content;
+    return file;
+  };
+  const std::vector<frontend::SourceFile> judged = {
+      tiny("a.c", "int main() { return 0; }\n"),
+      tiny("b.c", "int main() { return 1; }\n")};
+  const std::vector<frontend::SourceFile> compiled = {
+      tiny("c.c", "int main() { return 2; }\n"),
+      tiny("d.c", "int main( { return 3; }\n")};  // a failing compile
+
+  // Judge records first, then compile records: the file keeps that order.
+  TempFile file("truncate");
+  std::vector<judge::JudgeDecision> cold_decisions;
+  std::vector<ArtifactStore::Fields> cold_compiles;
+  {
+    auto store = std::make_shared<ArtifactStore>(store_config(file.path()));
+    judge::JudgeCacheConfig judge_config;
+    judge_config.store = store;
+    const judge::Llmj judge(client, style, judge_config);
+    for (const auto& source : judged) {
+      cold_decisions.push_back(judge.evaluate(source));
+    }
+    CompileCacheConfig compile_config;
+    compile_config.store = store;
+    const toolchain::CompilerDriver driver(
+        persona, std::make_shared<CompileCache>(compile_config, driver_fp));
+    for (const auto& source : compiled) {
+      cold_compiles.push_back(encode_compile_result(driver.compile(source)));
+    }
+    ASSERT_TRUE(store->save());
+  }
+  std::string bytes;
+  {
+    std::ifstream in(file.path(), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_LT(bytes.size(), 8192u) << "keep the records small";
+
+  // The record lines, in file order, with the fields a full load serves.
+  struct Line {
+    std::size_t begin = 0;  ///< first byte of the line
+    std::size_t end = 0;    ///< its '\n'
+    std::string ns;
+    std::uint64_t key = 0;
+    std::uint64_t check = 0;
+    ArtifactStore::Fields fields;
+  };
+  const ArtifactStore full(store_config(file.path()));
+  const std::size_t header_end = bytes.find('\n');
+  ASSERT_NE(header_end, std::string::npos);
+  std::vector<Line> lines;
+  for (std::size_t begin = header_end + 1; begin < bytes.size();) {
+    Line line;
+    line.begin = begin;
+    line.end = bytes.find('\n', begin);
+    ASSERT_NE(line.end, std::string::npos);
+    const auto object = parse_json_object_line(
+        bytes.substr(begin, line.end - begin));
+    ASSERT_TRUE(object.has_value());
+    line.ns = object->at("ns").string;
+    line.key = std::stoull(object->at("key").string, nullptr, 16);
+    line.check = std::stoull(object->at("check").string, nullptr, 16);
+    const auto fields = full.get(line.ns, line.key, line.check);
+    ASSERT_TRUE(fields.has_value());
+    line.fields = *fields;
+    lines.push_back(std::move(line));
+    begin = lines.back().end + 1;
+  }
+  ASSERT_EQ(lines.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(lines[i].ns, i < 2 ? "judge" : "compile") << i;
+  }
+
+  TempFile cut("truncate-cut");
+  for (std::size_t k = 0; k <= bytes.size(); ++k) {
+    {
+      std::ofstream out(cut.path(), std::ios::trunc | std::ios::binary);
+      out << bytes.substr(0, k);
+    }
+    auto store = std::make_shared<ArtifactStore>(store_config(cut.path()));
+    const StoreLoadReport& report = store->load_report();
+    if (k < header_end) {
+      EXPECT_TRUE(report.cold_start) << "cut at " << k;
+      EXPECT_EQ(store->size(), 0u) << "cut at " << k;
+    } else {
+      EXPECT_FALSE(report.cold_start) << "cut at " << k;
+      std::size_t present = 0;
+      std::size_t complete = 0;
+      for (const Line& line : lines) {
+        if (k > line.begin) ++present;
+        if (k >= line.end) ++complete;
+      }
+      EXPECT_EQ(report.loaded + report.corrupt_lines, present)
+          << "cut at " << k;
+      EXPECT_EQ(report.loaded, complete) << "cut at " << k;
+    }
+    std::vector<bool> served(lines.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const auto got = store->get(lines[i].ns, lines[i].key, lines[i].check);
+      served[i] = got.has_value();
+      if (got) {
+        EXPECT_EQ(*got, lines[i].fields) << "cut at " << k;
+      }
+    }
+
+    judge::JudgeCacheConfig judge_config;
+    judge_config.store = store;
+    const judge::Llmj judge(client, style, judge_config);
+    for (std::size_t i = 0; i < judged.size(); ++i) {
+      const auto warm = judge.evaluate(judged[i]);
+      const auto& cold = cold_decisions[i];
+      EXPECT_EQ(warm.persisted, served[i]) << "cut at " << k;
+      EXPECT_EQ(warm.verdict, cold.verdict) << "cut at " << k;
+      EXPECT_EQ(warm.says_valid, cold.says_valid) << "cut at " << k;
+      EXPECT_EQ(warm.prompt, cold.prompt) << "cut at " << k;
+      EXPECT_EQ(warm.completion.text, cold.completion.text) << "cut at " << k;
+      EXPECT_EQ(warm.completion.prompt_tokens, cold.completion.prompt_tokens)
+          << "cut at " << k;
+      EXPECT_EQ(warm.completion.completion_tokens,
+                cold.completion.completion_tokens)
+          << "cut at " << k;
+      EXPECT_EQ(warm.completion.latency_seconds,
+                cold.completion.latency_seconds)
+          << "cut at " << k;
+    }
+    CompileCacheConfig compile_config;
+    compile_config.store = store;
+    const toolchain::CompilerDriver driver(
+        persona, std::make_shared<CompileCache>(compile_config, driver_fp));
+    for (std::size_t i = 0; i < compiled.size(); ++i) {
+      const auto warm = driver.compile(compiled[i]);
+      EXPECT_EQ(warm.persisted, served[judged.size() + i]) << "cut at " << k;
+      EXPECT_EQ(encode_compile_result(warm), cold_compiles[i])
+          << "cut at " << k;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-// Cross-run persistence through the artifact store: judge-verdict warm
-// starts (byte-identical decisions, persisted-hit accounting, fingerprint
-// invalidation, corruption recovery, save-under-concurrency) and the
-// compile cache (front-end skipping in memory and across store round
-// trips), plus the pipeline-level counters.
+// Cross-run persistence through the artifact store, the second tier behind
+// the judge memo and the compile memo: judge-verdict warm starts
+// (byte-identical decisions, persisted-hit accounting, fingerprint
+// invalidation, corruption recovery, save-under-concurrency, working sets
+// larger than the memo, records in the older format that carried the
+// prompt) and the compile cache (front-end skipping in memory and across
+// store round trips), plus the pipeline-level counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include "judge/judge.hpp"
 #include "llm/coder_model.hpp"
 #include "pipeline/validation_pipeline.hpp"
+#include "support/jsonl.hpp"
 #include "tests/test_util.hpp"
 
 namespace llm4vv::judge {
@@ -73,21 +76,24 @@ TEST(JudgePersistenceTest, WarmDecisionIsByteIdenticalToCold) {
                      config);
     cold = judge.evaluate(source, nullptr, nullptr, 5);
     EXPECT_FALSE(cold.cached);
-    EXPECT_EQ(judge.persist_cache(), 1u);
+    // Written through when the decision was published.
+    EXPECT_EQ(config.store->size(), 1u);
     ASSERT_TRUE(config.store->save());
   }
   {
     JudgeCacheConfig config;
     config.store = make_store(file.path());
     EXPECT_FALSE(config.store->load_report().cold_start);
+    EXPECT_EQ(config.store->load_report().loaded, 1u);
     const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis,
                      config);
     const auto warm = judge.evaluate(source, nullptr, nullptr, 5);
     EXPECT_TRUE(warm.cached);
     EXPECT_TRUE(warm.persisted);
     expect_same_decision(warm, cold);
+    // A store hit fills the memo but writes nothing back.
+    EXPECT_EQ(config.store->stats().puts, 0u);
     const auto stats = judge.cache_stats();
-    EXPECT_EQ(stats.warm_loaded, 1u);
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.persisted_hits, 1u);
     EXPECT_EQ(stats.misses, 0u);
@@ -108,7 +114,6 @@ TEST(JudgePersistenceTest, AgentStyleDecisionsRoundTripWithOutcomes) {
     config.store = make_store(file.path());
     const Llmj judge(make_client(), llm::PromptStyle::kAgentDirect, config);
     cold = judge.evaluate(source, &compiled, &ran, 9);
-    judge.persist_cache();
     ASSERT_TRUE(config.store->save());
   }
   JudgeCacheConfig config;
@@ -124,20 +129,28 @@ TEST(JudgePersistenceTest, AgentStyleDecisionsRoundTripWithOutcomes) {
 TEST(JudgePersistenceTest, OtherStylesRecordsAreNotLoaded) {
   TempFile file("styles");
   const auto source = sample_file(6);
+  const auto driver = testutil::clean_driver(Flavor::kOpenACC);
+  const auto compiled = driver.compile(source);
+  const toolchain::Executor executor;
+  const auto ran = executor.run(compiled.module);
   {
     JudgeCacheConfig config;
     config.store = make_store(file.path());
     const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis,
                      config);
     (void)judge.evaluate(source);
-    judge.persist_cache();
     ASSERT_TRUE(config.store->save());
   }
   JudgeCacheConfig config;
   config.store = make_store(file.path());
-  // An agent-style judge must not warm-load direct-analysis verdicts.
+  ASSERT_EQ(config.store->size(), 1u);
+  // An agent-style judge must not be served direct-analysis verdicts.
   const Llmj judge(make_client(), llm::PromptStyle::kAgentDirect, config);
-  EXPECT_EQ(judge.cache_stats().warm_loaded, 0u);
+  const auto decision = judge.evaluate(source, &compiled, &ran);
+  EXPECT_FALSE(decision.cached);
+  EXPECT_FALSE(decision.persisted);
+  EXPECT_EQ(judge.cache_stats().misses, 1u);
+  EXPECT_EQ(judge.cache_stats().persisted_hits, 0u);
 }
 
 TEST(JudgePersistenceTest, FingerprintMismatchColdStartsCleanly) {
@@ -150,7 +163,6 @@ TEST(JudgePersistenceTest, FingerprintMismatchColdStartsCleanly) {
     const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis,
                      config);
     cold = judge.evaluate(source);
-    judge.persist_cache();
     ASSERT_TRUE(config.store->save());
   }
   // Same file, different model fingerprint: the records are stale and must
@@ -162,10 +174,11 @@ TEST(JudgePersistenceTest, FingerprintMismatchColdStartsCleanly) {
   config.store = std::make_shared<ArtifactStore>(changed);
   EXPECT_TRUE(config.store->load_report().cold_start);
   const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis, config);
-  EXPECT_EQ(judge.cache_stats().warm_loaded, 0u);
   const auto redone = judge.evaluate(source);
   EXPECT_FALSE(redone.cached);
   EXPECT_FALSE(redone.persisted);
+  EXPECT_EQ(judge.cache_stats().misses, 1u);
+  EXPECT_EQ(judge.cache_stats().persisted_hits, 0u);
   expect_same_decision(redone, cold);
 }
 
@@ -180,7 +193,6 @@ TEST(JudgePersistenceTest, CorruptTailRecoversRemainingRecords) {
                      config);
     (void)judge.evaluate(file_a);
     (void)judge.evaluate(file_b);
-    judge.persist_cache();
     ASSERT_TRUE(config.store->save());
   }
   {
@@ -192,10 +204,12 @@ TEST(JudgePersistenceTest, CorruptTailRecoversRemainingRecords) {
   config.store = make_store(file.path());
   EXPECT_FALSE(config.store->load_report().cold_start);
   EXPECT_EQ(config.store->load_report().corrupt_lines, 1u);
+  EXPECT_EQ(config.store->load_report().loaded, 2u);
   const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis, config);
-  EXPECT_EQ(judge.cache_stats().warm_loaded, 2u);
   EXPECT_TRUE(judge.evaluate(file_a).persisted);
   EXPECT_TRUE(judge.evaluate(file_b).persisted);
+  EXPECT_EQ(judge.cache_stats().persisted_hits, 2u);
+  EXPECT_EQ(judge.cache_stats().misses, 0u);
 }
 
 TEST(JudgePersistenceTest, ConcurrentSaveWhileEvaluating) {
@@ -206,9 +220,8 @@ TEST(JudgePersistenceTest, ConcurrentSaveWhileEvaluating) {
                    config);
 
   std::atomic<bool> stop{false};
-  std::thread saver([&judge, &config, &stop] {
+  std::thread saver([&config, &stop] {
     while (!stop.load()) {
-      judge.persist_cache();
       ASSERT_TRUE(config.store->save());
     }
   });
@@ -234,7 +247,6 @@ TEST(JudgePersistenceTest, ConcurrentSaveWhileEvaluating) {
   // The final persisted file must reload cleanly and serve warm hits.
   // (Some generated files can share content, so the unique-key count is
   // what the judge actually computed: its miss counter.)
-  judge.persist_cache();
   ASSERT_TRUE(config.store->save());
   const auto unique_keys = judge.cache_stats().misses;
   EXPECT_GE(unique_keys, 25u);
@@ -242,15 +254,124 @@ TEST(JudgePersistenceTest, ConcurrentSaveWhileEvaluating) {
   reload.store = make_store(file.path());
   EXPECT_FALSE(reload.store->load_report().cold_start);
   EXPECT_EQ(reload.store->load_report().corrupt_lines, 0u);
+  EXPECT_EQ(reload.store->load_report().loaded, unique_keys);
   const Llmj warm(make_client(), llm::PromptStyle::kDirectAnalysis, reload);
-  EXPECT_EQ(warm.cache_stats().warm_loaded, unique_keys);
-  EXPECT_TRUE(warm.evaluate(sample_file(100)).persisted);
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    EXPECT_TRUE(warm.evaluate(sample_file(100 + i)).persisted) << i;
+  }
+  EXPECT_EQ(warm.cache_stats().persisted_hits, 30u);
+  EXPECT_EQ(warm.cache_stats().misses, 0u);
 }
 
+// persist_cache() is kept as a no-op for source compatibility: with or
+// without a store it writes nothing, because write-through already did.
 TEST(JudgePersistenceTest, PersistCacheWithoutStoreIsANoOp) {
   const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis);
   (void)judge.evaluate(sample_file(1));
   EXPECT_EQ(judge.persist_cache(), 0u);
+
+  JudgeCacheConfig config;
+  config.store = make_store("");
+  const Llmj stored(make_client(), llm::PromptStyle::kDirectAnalysis, config);
+  (void)stored.evaluate(sample_file(1));
+  const auto puts = config.store->stats().puts;
+  EXPECT_EQ(puts, 1u);
+  EXPECT_EQ(stored.persist_cache(), 0u);
+  EXPECT_EQ(config.store->stats().puts, puts);
+}
+
+// The memo is the first tier, the store the second: a working set three
+// times the memo's capacity is written through in full, and a fresh judge
+// on the reopened store serves every file from it without a model call.
+TEST(JudgePersistenceTest, StoreServesAWorkingSetLargerThanTheMemo) {
+  TempFile file("working-set");
+  JudgeCacheConfig config;
+  config.capacity = 4;
+  config.shards = 1;
+  std::vector<JudgeDecision> cold;
+  {
+    config.store = make_store(file.path());
+    const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis,
+                     config);
+    for (std::uint64_t i = 0; i < 12; ++i) {
+      cold.push_back(judge.evaluate(sample_file(200 + i)));
+    }
+    ASSERT_EQ(judge.cache_stats().misses, 12u);
+    EXPECT_EQ(judge.cache_stats().evictions, 8u);
+    ASSERT_TRUE(config.store->save());
+  }
+  config.store = make_store(file.path());
+  EXPECT_EQ(config.store->load_report().loaded, 12u);
+  const auto client = make_client();
+  const Llmj judge(client, llm::PromptStyle::kDirectAnalysis, config);
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    const auto warm = judge.evaluate(sample_file(200 + i));
+    EXPECT_TRUE(warm.persisted) << i;
+    expect_same_decision(warm, cold[i]);
+  }
+  EXPECT_EQ(judge.cache_stats().persisted_hits, 12u);
+  EXPECT_EQ(judge.cache_stats().misses, 0u);
+  EXPECT_EQ(client->stats().requests, 0u);
+  EXPECT_DOUBLE_EQ(client->stats().gpu_seconds, 0.0);
+}
+
+// clear_cache() drops only the memo: the store tier keeps serving.
+TEST(JudgePersistenceTest, ClearCacheKeepsTheStoreTier) {
+  JudgeCacheConfig config;
+  config.store = make_store("");
+  Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis, config);
+  const auto source = sample_file(13);
+  const auto cold = judge.evaluate(source);
+  judge.clear_cache();
+  const auto again = judge.evaluate(source);
+  EXPECT_TRUE(again.persisted);
+  expect_same_decision(again, cold);
+  EXPECT_EQ(judge.cache_stats().misses, 1u);
+}
+
+// Records saved before the judge stopped persisting the prompt carry an
+// `f_prompt` field. They still decode; the prompt is rebuilt, so the warm
+// decision is byte-identical to the cold one.
+TEST(JudgePersistenceTest, RecordWithOldPromptFieldStillServes) {
+  TempFile file("old-format");
+  const auto source = sample_file(12);
+  JudgeDecision cold;
+  {
+    JudgeCacheConfig config;
+    config.store = make_store(file.path());
+    const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis,
+                     config);
+    cold = judge.evaluate(source);
+    ASSERT_TRUE(config.store->save());
+  }
+  // Rewrite the record line as the older encoder wrote it.
+  std::string header;
+  std::string record;
+  {
+    std::ifstream in(file.path());
+    ASSERT_TRUE(std::getline(in, header));
+    ASSERT_TRUE(std::getline(in, record));
+  }
+  const auto object = support::parse_json_object_line(record);
+  ASSERT_TRUE(object.has_value());
+  ASSERT_EQ(object->count("f_prompt"), 0u);
+  support::JsonObject old_record;
+  for (const auto& [name, value] : *object) {
+    old_record.field(name, value.string);
+  }
+  old_record.field("f_prompt", cold.prompt);
+  {
+    std::ofstream out(file.path(), std::ios::trunc);
+    out << header << '\n' << old_record.str() << '\n';
+  }
+
+  JudgeCacheConfig config;
+  config.store = make_store(file.path());
+  ASSERT_EQ(config.store->load_report().loaded, 1u);
+  const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis, config);
+  const auto warm = judge.evaluate(source);
+  EXPECT_TRUE(warm.persisted);
+  expect_same_decision(warm, cold);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,14 +421,15 @@ TEST(CompileCacheTest, PersistedCompileSkipsFrontEndAcrossStores) {
         std::make_shared<cache::CompileCache>(config, fingerprint);
     const auto driver = cached_driver(Flavor::kOpenACC, compile_cache);
     cold = driver.compile(source);
-    EXPECT_EQ(compile_cache->persist(), 1u);
+    // Written through when the result was inserted.
+    EXPECT_EQ(config.store->size(), 1u);
     ASSERT_TRUE(config.store->save());
   }
   cache::CompileCacheConfig config;
   config.store = make_store(file.path());
+  EXPECT_EQ(config.store->load_report().loaded, 1u);
   auto compile_cache =
       std::make_shared<cache::CompileCache>(config, fingerprint);
-  EXPECT_EQ(compile_cache->stats().warm_loaded, 1u);
   const auto driver = cached_driver(Flavor::kOpenACC, compile_cache);
   const auto warm = driver.compile(source);
   EXPECT_TRUE(warm.cached);
@@ -327,6 +449,7 @@ TEST(CompileCacheTest, PersistedCompileSkipsFrontEndAcrossStores) {
     EXPECT_EQ(a.steps, b.steps);
   }
   EXPECT_EQ(compile_cache->stats().persisted_hits, 1u);
+  EXPECT_EQ(compile_cache->stats().misses, 0u);
 }
 
 // The memo key is the file *identity* (content + name + language), not the
@@ -374,15 +497,55 @@ TEST(CompileCacheTest, DifferentPersonaNeverCrossServes) {
         config, toolchain::driver_fingerprint(toolchain::nvc_persona()));
     const auto driver = cached_driver(Flavor::kOpenACC, compile_cache);
     (void)driver.compile(source);
-    compile_cache->persist();
     ASSERT_TRUE(config.store->save());
   }
   cache::CompileCacheConfig config;
   config.store = make_store(file.path());
-  // clang persona: different fingerprint, so the nvc record must not load.
+  ASSERT_EQ(config.store->size(), 1u);
+  // clang persona: different fingerprint, so the nvc record must not serve.
   auto compile_cache = std::make_shared<cache::CompileCache>(
       config, toolchain::driver_fingerprint(toolchain::clang_persona()));
-  EXPECT_EQ(compile_cache->stats().warm_loaded, 0u);
+  const auto driver = cached_driver(Flavor::kOpenMP, compile_cache);
+  const auto result = driver.compile(source);
+  EXPECT_FALSE(result.cached);
+  EXPECT_FALSE(result.persisted);
+  EXPECT_EQ(compile_cache->stats().misses, 1u);
+  EXPECT_EQ(compile_cache->stats().persisted_hits, 0u);
+}
+
+TEST(CompileCacheTest, StoreServesAWorkingSetLargerThanTheMemo) {
+  TempFile file("compile-working-set");
+  const auto fingerprint =
+      toolchain::driver_fingerprint(toolchain::nvc_persona());
+  cache::CompileCacheConfig config;
+  config.capacity = 4;
+  std::vector<toolchain::CompileResult> cold;
+  {
+    config.store = make_store(file.path());
+    auto compile_cache =
+        std::make_shared<cache::CompileCache>(config, fingerprint);
+    const auto driver = cached_driver(Flavor::kOpenACC, compile_cache);
+    for (std::uint64_t i = 0; i < 12; ++i) {
+      cold.push_back(driver.compile(sample_file(300 + i)));
+    }
+    ASSERT_EQ(compile_cache->stats().misses, 12u);
+    EXPECT_EQ(compile_cache->stats().evictions, 8u);
+    ASSERT_TRUE(config.store->save());
+  }
+  config.store = make_store(file.path());
+  EXPECT_EQ(config.store->load_report().loaded, 12u);
+  auto compile_cache =
+      std::make_shared<cache::CompileCache>(config, fingerprint);
+  const auto driver = cached_driver(Flavor::kOpenACC, compile_cache);
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    const auto warm = driver.compile(sample_file(300 + i));
+    EXPECT_TRUE(warm.persisted) << i;
+    EXPECT_EQ(cache::encode_compile_result(warm),
+              cache::encode_compile_result(cold[i]))
+        << i;
+  }
+  EXPECT_EQ(compile_cache->stats().persisted_hits, 12u);
+  EXPECT_EQ(compile_cache->stats().misses, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -424,8 +587,6 @@ TEST(PipelinePersistenceTest, WarmRunServesEverythingFromTheStore) {
     cold = pipe.run(files);
     EXPECT_EQ(cold.judge_persisted_hits, 0u);
     EXPECT_GT(cold.judge_gpu_seconds, 0.0);
-    judge->persist_cache();
-    compile_cache->persist();
     ASSERT_TRUE(store->save());
   }
 
