@@ -5,6 +5,7 @@
 
 #include "core/llm4vv.hpp"
 #include "directive/validator.hpp"
+#include "frontend/lexer.hpp"
 
 namespace {
 
@@ -38,6 +39,30 @@ void BM_CompileACC(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_CompileACC)->Unit(benchmark::kMillisecond);
+
+void BM_Lex(benchmark::State& state) {
+  // The lexer alone, over BM_CompileACC's files: the largest front-end
+  // phase, and the one the judge's perception re-runs on every prompt.
+  const auto files = sample_files(frontend::Flavor::kOpenACC);
+  std::size_t bytes = 0;
+  std::size_t tokens = 0;
+  for (auto _ : state) {
+    for (const auto& file : files) {
+      frontend::DiagnosticEngine diags;
+      const auto lexed = frontend::lex(file.content, diags);
+      benchmark::DoNotOptimize(lexed.tokens.data());
+      bytes += file.content.size();
+      tokens += lexed.tokens.size();
+    }
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * files.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+  state.counters["tokens_per_file"] =
+      static_cast<double>(tokens) /
+      static_cast<double>(state.iterations() * files.size());
+}
+BENCHMARK(BM_Lex)->Unit(benchmark::kMicrosecond);
 
 void BM_CompileOMP(benchmark::State& state) {
   const auto files = sample_files(frontend::Flavor::kOpenMP);

@@ -21,6 +21,12 @@
 #                                 and jobs/s over loopback at 1/2/4 clients,
 #                                 plus the 3-tenant fairness sweep (see
 #                                 docs/SERVING.md)
+#   bench/BENCH_frontend.json   - compile stage: the lexer alone (BM_Lex),
+#                                 whole compiles per flavor, directive
+#                                 validation
+#   bench/BENCH_llm.json        - simulated judge call with a perception
+#                                 memo miss and hit, prompt-size scaling,
+#                                 client concurrency
 #
 # Usage: bench/run_benchmarks.sh [build-dir]
 #   BENCH_MIN_TIME=0.01s bench/run_benchmarks.sh   # quick smoke run
@@ -65,6 +71,8 @@ run_bench perf_vm "${script_dir}/BENCH_vm.json"
 run_bench perf_faults "${script_dir}/BENCH_faults.json"
 run_bench perf_obs "${script_dir}/BENCH_obs.json"
 run_bench perf_serve "${script_dir}/BENCH_serve.json"
+run_bench perf_frontend "${script_dir}/BENCH_frontend.json"
+run_bench perf_llm "${script_dir}/BENCH_llm.json"
 
 # Warm-start persistence check: run perf_cache twice against ONE cache
 # file. The first invocation starts cold (the file is deleted here) and
@@ -447,4 +455,38 @@ if command -v jq >/dev/null 2>&1; then
   }
   echo "serving OK (closed loop loses nothing, 3-tenant spread < 2.5x," \
        "nobody starved)"
+
+  jq -r '
+    .benchmarks[]
+    | select(.name == "BM_Lex" or .name == "BM_CompileACC"
+             or .name == "BM_CompileOMP")
+    | "\(.name): \(1e7 / .items_per_second | floor / 10) us per file, " +
+      "\(.items_per_second | floor) files/s"
+  ' "${script_dir}/BENCH_frontend.json"
+  jq -r '
+    .benchmarks[]
+    | select(.name | startswith("BM_SimulatedJudgeCall"))
+    | "\(.name): \(.real_time * 10 | floor / 10) \(.time_unit) per call, " +
+      "sim latency \(.sim_latency_s * 100 | floor / 100) s"
+  ' "${script_dir}/BENCH_llm.json"
+
+  # Perception-memo gate: a judge call on code the model has already read
+  # (the LLMJ 2 prompt of a file LLMJ 1 judged) must cost less host time
+  # than one on unread code, at the same simulated price (the counters are
+  # per-iteration means, equal up to summation rounding) -- if not, the
+  # memo stopped serving hits or a hit stopped being byte-identical.
+  jq -e '
+    ([.benchmarks[] | select(.name == "BM_SimulatedJudgeCallMiss")][0])
+      as $miss |
+    ([.benchmarks[] | select(.name == "BM_SimulatedJudgeCallHit")][0])
+      as $hit |
+    def near($a; $b): ($a - $b | if . < 0 then -. else . end) < 1e-6;
+    $hit.real_time < $miss.real_time
+      and near($hit.sim_latency_s; $miss.sim_latency_s)
+  ' "${script_dir}/BENCH_llm.json" > /dev/null || {
+    echo "error: perception memo gate failed (hit not cheaper than miss," \
+         "or their simulated latencies differ) - see BENCH_llm.json" >&2
+    exit 1
+  }
+  echo "perception memo OK (hit cheaper than miss, same simulated price)"
 fi

@@ -19,7 +19,10 @@ struct LexOutput {
   std::map<std::string, std::string> defines;
 };
 
-/// Hand-written C/C++ lexer for the V&V test subset.
+/// Table-driven C/C++ lexer for the V&V test subset: one pass over the
+/// bytes, dispatching on a 256-entry character-class table, with the
+/// keyword and punctuator tables generated from the lists in token.hpp.
+/// tests/lexer_reference.hpp keeps the previous lexer as its oracle.
 ///
 /// Properties that matter to the reproduction:
 ///  - `#pragma` lines are captured verbatim as single kPragma tokens
@@ -27,7 +30,8 @@ struct LexOutput {
 ///    the directive validator both see the exact source spelling;
 ///  - `#include` lines become kHashInclude tokens and are otherwise ignored
 ///    (the VM's runtime library is implicitly available);
-///  - `#define NAME token` object-like macros are substituted;
+///  - `#define NAME token` object-like macros are substituted; each
+///    replacement is lexed once, when it is defined;
 ///  - unterminated strings/comments produce kUnterminated diagnostics.
 LexOutput lex(std::string_view source, DiagnosticEngine& diags);
 

@@ -9,6 +9,17 @@ namespace llm4vv::llm {
 
 namespace {
 
+/// The code-evidence flags analyze_code() sets, in memo bit order.
+constexpr bool PromptPerception::*kCodeFacts[] = {
+    &PromptPerception::no_directives,
+    &PromptPerception::misspelled_directive,
+    &PromptPerception::brace_imbalance,
+    &PromptPerception::undeclared_identifier,
+    &PromptPerception::uninit_pointer,
+    &PromptPerception::missing_return,
+    &PromptPerception::logic_mismatch,
+};
+
 /// The strongest fired code-evidence gate (priority order mirrors how
 /// obvious each class is to a code reader: a missing directive namespace
 /// beats a subtle logic cut).
@@ -148,9 +159,49 @@ double SimulatedCoderModel::invalid_probability(
   return profile.false_invalid_rate;
 }
 
+PromptPerception SimulatedCoderModel::perceive_memoized(
+    const std::string& prompt) const {
+  PromptPerception view = parse_prompt(prompt);
+  const std::uint64_t key =
+      support::hash_mix(support::fnv1a64(view.code),
+                        static_cast<std::uint64_t>(view.flavor));
+  FactsShard& shard = facts_[key % kPerceptionMemoShards];
+  {
+    support::MutexLock lock(shard.mutex);
+    const auto it = shard.entries.find(key);
+    if (it != shard.entries.end() &&
+        it->second.code_length == view.code.size()) {
+      for (std::size_t bit = 0; bit < std::size(kCodeFacts); ++bit) {
+        view.*kCodeFacts[bit] = (it->second.flags >> bit) & 1u;
+      }
+      return view;
+    }
+  }
+  analyze_code(view.code, view.flavor, view);
+  CodeFacts facts{view.code.size(), 0};
+  for (std::size_t bit = 0; bit < std::size(kCodeFacts); ++bit) {
+    if (view.*kCodeFacts[bit]) {
+      facts.flags |= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+  constexpr std::size_t kShardCapacity =
+      kPerceptionMemoCapacity / kPerceptionMemoShards;
+  support::MutexLock lock(shard.mutex);
+  if (shard.entries.emplace(key, facts).second) {
+    if (shard.order.size() < kShardCapacity) {
+      shard.order.push_back(key);
+    } else {
+      shard.entries.erase(shard.order[shard.oldest]);
+      shard.order[shard.oldest] = key;
+      shard.oldest = (shard.oldest + 1) % kShardCapacity;
+    }
+  }
+  return view;
+}
+
 Completion SimulatedCoderModel::render(const std::string& prompt,
                                        const GenerationParams& params) const {
-  const PromptPerception view = perceive(prompt);
+  const PromptPerception view = perceive_memoized(prompt);
   const JudgeProfile& profile = judge_profile(view.flavor, view.style);
 
   support::Rng rng(support::fnv1a64(prompt) ^ config_.seed ^ params.seed);

@@ -1,12 +1,16 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "llm/faults.hpp"
 #include "llm/model.hpp"
 #include "llm/perception.hpp"
 #include "llm/profiles.hpp"
+#include "support/thread_annotations.hpp"
 
 namespace llm4vv::llm {
 
@@ -55,8 +59,22 @@ struct CoderModelConfig {
 /// prompt style always receives the same verdict within an experiment —
 /// mirroring greedy/low-temperature decoding — while different experiment
 /// seeds give fresh draws for error bars.
+///
+/// Perception memo: the code evidence perceive() extracts (the seven flags
+/// analyze_code() sets) depends only on the prompt's code block and its
+/// flavor, and every judge of a file sees the same code (the paper's
+/// LLMJ 1 and LLMJ 2 each read every file). So the model keeps those flags
+/// per (code hash, flavor), checked against the code length, in a bounded
+/// memo sharded like the judge memo, for the model's lifetime. The model
+/// stays a pure function of the prompt: a hit yields exactly the flags a
+/// miss computes, so completions and their prices are byte-identical.
 class SimulatedCoderModel final : public LanguageModel {
  public:
+  /// Code blocks the perception memo holds (oldest evicted first, per
+  /// shard): enough for the 1782-file OpenACC Part Two suite to survive
+  /// from its LLMJ 1 pass to its LLMJ 2 pass.
+  static constexpr std::size_t kPerceptionMemoCapacity = 4096;
+
   explicit SimulatedCoderModel(CoderModelConfig config = {});
 
   std::string name() const override;
@@ -88,8 +106,31 @@ class SimulatedCoderModel final : public LanguageModel {
   /// when no plan is configured).
   FaultKind fault_for(const std::string& prompt,
                       const GenerationParams& params) const;
+  /// perceive(prompt), with the code evidence served from the memo when
+  /// the code block was analyzed before (analysis runs outside the lock).
+  PromptPerception perceive_memoized(const std::string& prompt) const;
+
+  static constexpr std::size_t kPerceptionMemoShards = 8;
+
+  /// analyze_code()'s flags for one code block, one bit each, and the
+  /// block's length: a second check independent of the hash key.
+  struct CodeFacts {
+    std::size_t code_length = 0;
+    std::uint8_t flags = 0;
+  };
+  /// One memo shard. Nothing is allocated until the first insert, so an
+  /// idle model costs no more to build than before the memo existed.
+  struct FactsShard {
+    support::Mutex mutex;
+    std::unordered_map<std::uint64_t, CodeFacts> entries GUARDED_BY(mutex);
+    /// Keys in insertion order; once full, a ring whose slot `oldest` is
+    /// evicted and reused by the next insert.
+    std::vector<std::uint64_t> order GUARDED_BY(mutex);
+    std::size_t oldest GUARDED_BY(mutex) = 0;
+  };
 
   CoderModelConfig config_;
+  mutable std::array<FactsShard, kPerceptionMemoShards> facts_;
 };
 
 }  // namespace llm4vv::llm

@@ -79,7 +79,7 @@ bool find_uninit_pointer(const std::string& code, bool fortran) {
       continue;
     }
     if (!support::contains(code, name + " =") &&
-        !support::contains(code, name + " =")) {
+        !support::contains(code, name + "=")) {
       return true;
     }
   }
@@ -171,6 +171,12 @@ void analyze_code(const std::string& code, Flavor flavor,
 }
 
 PromptPerception perceive(const std::string& prompt) {
+  PromptPerception out = parse_prompt(prompt);
+  analyze_code(out.code, out.flavor, out);
+  return out;
+}
+
+PromptPerception parse_prompt(const std::string& prompt) {
   PromptPerception out;
 
   if (support::contains(prompt, "Describe what the below")) {
@@ -213,8 +219,6 @@ PromptPerception perceive(const std::string& prompt) {
   } else {
     out.code = prompt;  // degenerate prompt: treat everything as code
   }
-
-  analyze_code(out.code, out.flavor, out);
   return out;
 }
 

@@ -40,8 +40,15 @@ struct PromptPerception {
 };
 
 /// Parse a judge prompt (any of the Listings 1-4 shapes built by
-/// judge/prompt.cpp) into a PromptPerception.
+/// judge/prompt.cpp) into a PromptPerception: parse_prompt() followed by
+/// analyze_code() on the embedded code.
 PromptPerception perceive(const std::string& prompt);
+
+/// Everything perceive() reads off the prompt text itself (style, flavor,
+/// quoted tool outputs, the embedded code), with the code-evidence flags
+/// left unset. The simulated model pairs this with a memo of
+/// analyze_code()'s flags, which depend only on (code, flavor).
+PromptPerception parse_prompt(const std::string& prompt);
 
 /// Evidence extraction on a bare code string (exposed for unit tests).
 void analyze_code(const std::string& code, frontend::Flavor flavor,

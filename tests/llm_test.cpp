@@ -226,6 +226,138 @@ TEST(PerceptionTest, MissingReturnAfterFunctionTailRemoval) {
   EXPECT_TRUE(view.missing_return || view.brace_imbalance);
 }
 
+TEST(PerceptionTest, UnspacedAssignmentCountsAsAllocation) {
+  // `p=malloc(...)` assigns the pointer as surely as `p = malloc(...)`.
+  const std::string code =
+      "#include <stdlib.h>\n"
+      "int main() {\n"
+      "  double *p;\n"
+      "  p=(double*)malloc(8 * sizeof(double));\n"
+      "#pragma acc parallel loop copyout(p[0:8])\n"
+      "  for (int i = 0; i < 8; ++i) p[i] = i;\n"
+      "  return 0;\n"
+      "}\n";
+  PromptPerception view;
+  analyze_code(code, Flavor::kOpenACC, view);
+  EXPECT_FALSE(view.uninit_pointer);
+
+  std::string unassigned = code;
+  unassigned.erase(unassigned.find("  p=("),
+                   unassigned.find("\n#pragma") - unassigned.find("  p=("));
+  PromptPerception cut;
+  analyze_code(unassigned, Flavor::kOpenACC, cut);
+  EXPECT_TRUE(cut.uninit_pointer);
+}
+
+// ---------------------------------------------------------------------------
+// Perception memo: a hit must equal a miss
+// ---------------------------------------------------------------------------
+
+void expect_same_completion(const Completion& got, const Completion& want,
+                            const std::string& label) {
+  EXPECT_EQ(got.text, want.text) << label;
+  EXPECT_EQ(got.prompt_tokens, want.prompt_tokens) << label;
+  EXPECT_EQ(got.completion_tokens, want.completion_tokens) << label;
+  EXPECT_EQ(got.latency_seconds, want.latency_seconds) << label;
+}
+
+TEST(PerceptionMemoTest, LlmjPromptsOfOneFileHitEqualsMiss) {
+  // LLMJ 1 and LLMJ 2 read the same code: through one model the second
+  // prompt is served the first one's code evidence. Every probing class,
+  // so the memoized flags vary.
+  const SimulatedCoderModel shared;
+  const auto driver = testutil::clean_driver(Flavor::kOpenACC);
+  probing::MutationConfig config;
+  for (int issue = 0; issue <= 5; ++issue) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      auto file = test_file(Flavor::kOpenACC, 100 + seed);
+      support::Rng rng(seed);
+      const auto mutated =
+          probing::apply_mutation(file.content, file.language,
+                                  static_cast<probing::IssueType>(issue),
+                                  config, rng);
+      if (!mutated) continue;
+      file.content = *mutated;
+      const auto compiled = driver.compile(file);
+      const auto ran = toolchain::Executor().run(compiled.module);
+      const std::string label = "issue " + std::to_string(issue) +
+                                " seed " + std::to_string(seed);
+      GenerationParams params;
+      params.seed = seed;
+      for (const auto& prompt :
+           {judge::agent_direct_prompt(file, compiled, ran),
+            judge::agent_indirect_prompt(file, compiled, ran)}) {
+        expect_same_completion(shared.generate(prompt, params),
+                               SimulatedCoderModel().generate(prompt, params),
+                               label);
+      }
+    }
+  }
+}
+
+TEST(PerceptionMemoTest, FlavorIsPartOfTheKey) {
+  // One code block whose evidence depends on the flavor: an unknown
+  // OpenACC directive is an error when validated as OpenACC and an
+  // ignored foreign pragma when validated as OpenMP.
+  frontend::SourceFile acc = test_file(Flavor::kOpenACC);
+  acc.content =
+      "#include <stdio.h>\n"
+      "int main() {\n"
+      "  int x = 0;\n"
+      "#pragma acc paralel loop\n"
+      "  for (int i = 0; i < 4; ++i) x += i;\n"
+      "  printf(\"PASSED\\n\");\n"
+      "  printf(\"FAILED\\n\");\n"
+      "  return 0;\n"
+      "}\n";
+  frontend::SourceFile omp = acc;
+  omp.flavor = Flavor::kOpenMP;
+  PromptPerception acc_facts;
+  PromptPerception omp_facts;
+  analyze_code(acc.content, Flavor::kOpenACC, acc_facts);
+  analyze_code(acc.content, Flavor::kOpenMP, omp_facts);
+  ASSERT_TRUE(acc_facts.misspelled_directive);
+  ASSERT_FALSE(omp_facts.misspelled_directive);
+
+  const std::string acc_prompt = judge::direct_analysis_prompt(acc);
+  const std::string omp_prompt = judge::direct_analysis_prompt(omp);
+  ASSERT_EQ(perceive(acc_prompt).code, perceive(omp_prompt).code);
+  for (const bool acc_first : {true, false}) {
+    const SimulatedCoderModel shared;
+    const auto& first = acc_first ? acc_prompt : omp_prompt;
+    const auto& second = acc_first ? omp_prompt : acc_prompt;
+    expect_same_completion(shared.generate(first, {}),
+                           SimulatedCoderModel().generate(first, {}),
+                           "first");
+    expect_same_completion(shared.generate(second, {}),
+                           SimulatedCoderModel().generate(second, {}),
+                           "second");
+  }
+}
+
+TEST(PerceptionMemoTest, EvictedCodeIsReanalyzedExactly) {
+  // Twice the capacity of distinct code blocks: eviction is FIFO per
+  // shard, so this overflows every shard, the first block's included.
+  const SimulatedCoderModel shared;
+  const auto prompt_for = [](std::size_t i) {
+    frontend::SourceFile file = test_file(Flavor::kOpenACC);
+    file.content = "int main() {\n  int x = " + std::to_string(i) +
+                   ";\n#pragma acc parallel loop\n"
+                   "  for (int i = 0; i < 4; ++i) x += i;\n"
+                   "  return x;\n}\n";
+    return judge::direct_analysis_prompt(file);
+  };
+  const std::string first = prompt_for(0);
+  const Completion first_miss = shared.generate(first, {});
+  for (std::size_t i = 1;
+       i <= 2 * SimulatedCoderModel::kPerceptionMemoCapacity; ++i) {
+    shared.generate(prompt_for(i), {});
+  }
+  const Completion fresh = SimulatedCoderModel().generate(first, {});
+  expect_same_completion(first_miss, fresh, "first miss");
+  expect_same_completion(shared.generate(first, {}), fresh, "after eviction");
+}
+
 // ---------------------------------------------------------------------------
 // Profiles
 // ---------------------------------------------------------------------------

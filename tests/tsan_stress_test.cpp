@@ -2,8 +2,9 @@
 // exist to give ThreadSanitizer and AddressSanitizer dense interleavings
 // over the code paths the thread-safety annotations protect: the sharded
 // queue's steal scan, the adaptive batcher's window-flush racing inline
-// flushes, the circuit breaker's half-open transitions, and concurrent
-// artifact-store save/put traffic. They build and pass in every
+// flushes, the circuit breaker's half-open transitions, concurrent
+// artifact-store save/put traffic, and the simulated model's perception
+// memo. They build and pass in every
 // configuration (each also asserts real invariants), but their sizing —
 // many small operations across few threads, bounded wall-clock — is chosen
 // for instrumented runs: the TSan and ASan+UBSan CI legs execute exactly
@@ -23,6 +24,7 @@
 
 #include "cache/artifact_store.hpp"
 #include "core/llm4vv.hpp"
+#include "judge/prompt.hpp"
 #include "support/mpmc_queue.hpp"
 #include "support/thread_pool.hpp"
 #include "tests/test_util.hpp"
@@ -265,6 +267,59 @@ TEST(TsanStressTest, ConcurrentStoreSaveAndPut) {
   cache::ArtifactStore reloaded(config);
   EXPECT_EQ(reloaded.load_report().cold_start, false);
   EXPECT_EQ(reloaded.size(), store.size());
+}
+
+// ---------------------------------------------------------------------------
+// SimulatedCoderModel's perception memo: concurrent misses on one code block
+// race to insert it, hits read shards other threads are evicting from. With
+// four threads judging overlapping prompts (each file under both agent
+// styles, so two prompts share one code block) through one model, every
+// completion must equal a single-threaded run's.
+// ---------------------------------------------------------------------------
+
+TEST(TsanStressTest, SharedModelPerceptionMemoMatchesSingleThread) {
+  // Two files of every probing class, so the memoized evidence differs
+  // between code blocks and a hit served for the wrong one shows.
+  probing::ProbingConfig probe;
+  probe.issue_counts = {2, 2, 2, 2, 2, 2};
+  probe.seed = 4321;
+  const auto probed = probing::probe_suite(
+      corpus::generate_suite(
+          testutil::corpus_config(frontend::Flavor::kOpenACC, 24, 4321)),
+      probe);
+  const auto driver = testutil::clean_driver(frontend::Flavor::kOpenACC);
+  std::vector<std::string> prompts;
+  for (const auto& file : probed.files) {
+    const auto compiled = driver.compile(file.file);
+    const auto ran = toolchain::Executor().run(compiled.module);
+    prompts.push_back(judge::agent_direct_prompt(file.file, compiled, ran));
+    prompts.push_back(judge::agent_indirect_prompt(file.file, compiled, ran));
+  }
+  std::vector<std::string> expected;
+  {
+    const llm::SimulatedCoderModel single;
+    for (const auto& prompt : prompts) {
+      expected.push_back(single.generate(prompt, {}).text);
+    }
+  }
+
+  const llm::SimulatedCoderModel shared;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at its own offset and strides through every
+      // prompt three times, so threads overlap on keys at different times.
+      for (std::size_t k = 0; k < 3 * prompts.size(); ++k) {
+        const std::size_t i = (t * 5 + k) % prompts.size();
+        if (shared.generate(prompts[i], {}).text != expected[i]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // ---------------------------------------------------------------------------
