@@ -11,7 +11,12 @@
 //      T=200 us strictly exceeds the T=0 (static per-worker) baseline;
 //   2. the saving is real: sim-GPU s/run at T=200 us is no worse than at
 //      T=0.
+// and one of the lone-submitter row: a thread alone in a submit -> get()
+// loop at T=1000 us must not wait out the window (mean wall time per
+// request below T/2), because nobody can add to its batch.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "core/llm4vv.hpp"
 
@@ -76,6 +81,7 @@ void BM_PipelineAdaptiveBatch(benchmark::State& state) {
   std::uint64_t formed_batches = 0;
   std::uint64_t flush_full = 0;
   std::uint64_t flush_window = 0;
+  std::uint64_t flush_idle = 0;
   std::size_t queue_depth_peak = 0;
   for (auto _ : state) {
     const auto result = pipe.run(files);
@@ -85,6 +91,7 @@ void BM_PipelineAdaptiveBatch(benchmark::State& state) {
     formed_batches += client_run.formed_batches;
     flush_full += client_run.flush_full;
     flush_window += client_run.flush_window;
+    flush_idle += client_run.flush_idle;
     queue_depth_peak =
         std::max(queue_depth_peak, client_run.pending_high_water);
     benchmark::DoNotOptimize(result.records.data());
@@ -101,6 +108,8 @@ void BM_PipelineAdaptiveBatch(benchmark::State& state) {
       static_cast<double>(flush_full) / runs;
   state.counters["flush_window_per_run"] =
       static_cast<double>(flush_window) / runs;
+  state.counters["flush_idle_per_run"] =
+      static_cast<double>(flush_idle) / runs;
   state.counters["queue_depth_peak"] =
       static_cast<double>(queue_depth_peak);
 }
@@ -111,6 +120,44 @@ BENCHMARK(BM_PipelineAdaptiveBatch)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond)
     ->ArgNames({"window_us"});
+
+/// One thread in a submit -> get() loop, nobody else submitting: every
+/// batch it starts is one nobody can add to, so the idle flush runs it as
+/// soon as the thread blocks, instead of after the window.
+void BM_LoneSubmitter(benchmark::State& state) {
+  const auto window_us = static_cast<std::uint64_t>(state.range(0));
+  std::vector<std::string> prompts;
+  for (const auto& file : make_batch(16, 0)) {
+    prompts.push_back(judge::direct_analysis_prompt(file));
+  }
+  llm::BatcherConfig batcher;
+  batcher.max_batch = 8;
+  batcher.window_us = window_us;
+  auto client = core::make_simulated_client(4, batcher);
+
+  std::size_t next = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const auto completion =
+        client->submit(prompts[next++ % prompts.size()]).get();
+    benchmark::DoNotOptimize(completion.text.data());
+  }
+  const std::chrono::duration<double, std::micro> wall =
+      std::chrono::steady_clock::now() - start;
+  const auto requests = static_cast<double>(state.iterations());
+  const auto stats = client->stats();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["window_us"] = static_cast<double>(window_us);
+  state.counters["wall_us_per_request"] = wall.count() / requests;
+  state.counters["flush_idle_share"] =
+      static_cast<double>(stats.flush_idle) /
+      static_cast<double>(std::max<std::uint64_t>(1, stats.formed_batches));
+}
+BENCHMARK(BM_LoneSubmitter)
+    ->Arg(1000)
+    ->ArgNames({"window_us"})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 }  // namespace
 

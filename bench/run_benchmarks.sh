@@ -4,7 +4,8 @@
 #   bench/BENCH_tokenizer.json  - trie vs naive encode, count, roundtrip
 #   bench/BENCH_pipeline.json   - mode/worker sweeps + judge-cache counters
 #   bench/BENCH_batcher.json    - adaptive-batcher wait-window sweep
-#                                 (cross-worker flush occupancy vs T)
+#                                 (cross-worker flush occupancy vs T) and
+#                                 a lone submitter's wall time per request
 #   bench/BENCH_cache.json      - persistent warm-start collapse (perf_cache
 #                                 runs TWICE against one cache file; the
 #                                 recorded JSON is the second, warm run)
@@ -162,6 +163,29 @@ if command -v jq >/dev/null 2>&1; then
   }
   echo "adaptive batcher OK (T=200us occupancy beats static baseline," \
        "sim GPU no worse)"
+
+  # Idle-flush guard: a thread alone in a submit -> get() loop is the only
+  # one who could add to its batch, so once it blocks the batch must flush
+  # -- the mean wall time per request stays below half the T=1000 us
+  # window. If this fails, every lone caller is waiting out the window.
+  jq -r '
+    .benchmarks[]
+    | select(.name | startswith("BM_LoneSubmitter"))
+    | "\(.name): \(.wall_us_per_request * 10 | floor / 10) us per request, " +
+      "idle flush share \(.flush_idle_share * 100 | floor)%"
+  ' "${script_dir}/BENCH_batcher.json"
+  jq -e '
+    ([.benchmarks[]
+      | select(.name == "BM_LoneSubmitter/window_us:1000/real_time")][0])
+      as $lone |
+    $lone.wall_us_per_request > 0
+      and $lone.wall_us_per_request < $lone.window_us / 2
+  ' "${script_dir}/BENCH_batcher.json" > /dev/null || {
+    echo "error: a lone submitter waited out the batcher window (mean wall" \
+         "time per request >= T/2 at T=1000us) - see BENCH_batcher.json" >&2
+    exit 1
+  }
+  echo "idle flush OK (lone submitter answered well inside the window)"
 
   jq -r '
     [.benchmarks[] | select(.name == "BM_PipelineWarmStart")][0]

@@ -276,7 +276,8 @@ int main(int argc, char** argv) {
     const auto stats = client->stats();
     std::fprintf(stderr,
                  "\nbatcher (max_batch=%zu, window=%llu us): "
-                 "%llu passes (%llu immediate, %llu full, %llu window), "
+                 "%llu passes (%llu immediate, %llu full, %llu window, "
+                 "%llu idle), "
                  "%llu batched prompts, peak queue depth %zu\n",
                  batcher.max_batch,
                  static_cast<unsigned long long>(batcher.window_us),
@@ -284,6 +285,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.flush_immediate),
                  static_cast<unsigned long long>(stats.flush_full),
                  static_cast<unsigned long long>(stats.flush_window),
+                 static_cast<unsigned long long>(stats.flush_idle),
                  static_cast<unsigned long long>(stats.batched_prompts),
                  stats.pending_high_water);
     std::fprintf(stderr, "occupancy histogram:");

@@ -1,6 +1,7 @@
 #include "llm/client.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -152,6 +153,86 @@ const char* ClientStats::retry_latency_bucket_label(
 }
 
 // ---------------------------------------------------------------------------
+// Batcher
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+std::size_t Batcher::head_run_locked() const {
+  std::size_t run = 0;
+  for (const PendingRequest& request : pending) {
+    if (!params_equal(request.params, pending.front().params)) break;
+    ++run;
+    if (config.max_batch > 0 && run >= config.max_batch) break;
+  }
+  return run;
+}
+
+std::vector<PendingRequest> Batcher::collect_group_locked() {
+  std::vector<PendingRequest> group;
+  if (pending.empty()) return group;
+  const std::size_t cap =
+      config.max_batch == 0 ? pending.size() : config.max_batch;
+  group.reserve(std::min(cap, pending.size()));
+  const GenerationParams head_params = pending.front().params;
+  while (!pending.empty() && group.size() < cap &&
+         params_equal(pending.front().params, head_params)) {
+    group.push_back(std::move(pending.front()));
+    pending.pop_front();
+  }
+  // The queue just shrank: blocked-overflow submitters may fit now.
+  if (config.max_pending > 0 && config.overflow == OverflowPolicy::kBlock) {
+    room_cv.notify_all();
+  }
+  return group;
+}
+
+void Batcher::note_submission_locked(
+    std::chrono::steady_clock::time_point now) {
+  const auto horizon = now - std::chrono::microseconds(config.window_us);
+  std::erase_if(submitters, [horizon](const Submitter& submitter) {
+    return submitter.last_submit <= horizon;
+  });
+  const std::thread::id self = std::this_thread::get_id();
+  bool close = false;
+  Submitter* mine = nullptr;
+  for (Submitter& submitter : submitters) {
+    if (submitter.thread == self) {
+      mine = &submitter;
+    } else {
+      close = true;  // every entry left submitted within the window
+    }
+  }
+  if (mine == nullptr) {
+    submitters.push_back(Submitter{self, now, false});
+  } else {
+    mine->last_submit = now;
+  }
+  close_arrivals = (close_arrivals << 1) | (close ? 1u : 0u);
+}
+
+void Batcher::set_waiting_locked(bool waiting) {
+  const std::thread::id self = std::this_thread::get_id();
+  for (Submitter& submitter : submitters) {
+    if (submitter.thread == self) submitter.waiting = waiting;
+  }
+}
+
+bool Batcher::idle_locked(std::chrono::steady_clock::time_point now) const {
+  // Threads that arrive close together (judge workers idling on a queue
+  // between submissions) are the load the window exists for, and they
+  // are invisible here until they submit.
+  if (std::popcount(close_arrivals) >= kCloseArrivalLimit) return false;
+  const auto horizon = now - std::chrono::microseconds(config.window_us);
+  for (const Submitter& submitter : submitters) {
+    if (!submitter.waiting && submitter.last_submit > horizon) return false;
+  }
+  return true;
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
 // CompletionFuture
 // ---------------------------------------------------------------------------
 
@@ -165,8 +246,14 @@ void CompletionFuture::wait() const {
   if (state_ == nullptr) {
     throw std::logic_error("CompletionFuture::wait on an empty future");
   }
-  support::UniqueLock lock(state_->mutex);
-  while (!state_->done) state_->cv.wait(lock);
+  detail::Batcher* const queue = state_->batcher.get();
+  const bool blocks_on_batcher = queue != nullptr && !ready();
+  if (blocks_on_batcher) ModelClient::begin_wait(*queue);
+  {
+    support::UniqueLock lock(state_->mutex);
+    while (!state_->done) state_->cv.wait(lock);
+  }
+  if (blocks_on_batcher) ModelClient::end_wait(*queue);
 }
 
 Completion CompletionFuture::get() const {
@@ -206,13 +293,13 @@ ModelClient::ModelClient(std::shared_ptr<const LanguageModel> model,
     : model_(std::move(model)),
       max_concurrency_(max_concurrency == 0 ? 1 : max_concurrency),
       transcript_capacity_(transcript_capacity),
-      batcher_(batcher),
       retry_(retry),
-      breaker_config_(breaker) {
+      breaker_config_(breaker),
+      batcher_(std::make_shared<detail::Batcher>(batcher, this)) {
   if (model_ == nullptr) {
     throw std::invalid_argument("ModelClient: model must not be null");
   }
-  if (batcher_.window_us > 0) {
+  if (batcher.window_us > 0) {
     flusher_ = std::thread([this] { flusher_main(); });
   }
 }
@@ -220,21 +307,23 @@ ModelClient::ModelClient(std::shared_ptr<const LanguageModel> model,
 ModelClient::~ModelClient() {
   std::deque<PendingRequest> orphans;
   {
-    support::UniqueLock lock(batch_mutex_);
-    shutting_down_ = true;
-    orphans.swap(pending_);
+    support::UniqueLock lock(batcher_->mutex);
+    batcher_->shutting_down = true;
+    orphans.swap(batcher_->pending);
     // One broadcast wakes everyone parked on the batcher: the window
     // flusher, blocked-overflow submitters, and — the S1 fix — flushes
-    // sleeping out a retry backoff, which observe shutting_down_ and
+    // sleeping out a retry backoff, which observe shutting_down and
     // CANCEL their remaining attempts instead of running them against a
     // dying client.
-    batch_cv_.notify_all();
-    room_cv_.notify_all();
-    // Wait out flushes running on caller threads: they hold references to
-    // the model, the slot state, and the stats, none of which may die
-    // under them. Bounded: backoffs were just cancelled, so each flush
-    // finishes after at most its current forward pass.
-    while (active_flushes_ != 0) flush_done_.wait(lock);
+    batcher_->cv.notify_all();
+    batcher_->room_cv.notify_all();
+    // Wait out flushes running on caller threads (filling submitters and
+    // idle waiters): they hold references to the model, the slot state,
+    // and the stats, none of which may die under them. Bounded: backoffs
+    // were just cancelled, so each flush finishes after at most its
+    // current forward pass. Waiters that have not started a flush see
+    // shutting_down and never touch the client.
+    while (batcher_->active_flushes != 0) batcher_->flush_done.wait(lock);
   }
   if (flusher_.joinable()) flusher_.join();
   if (!orphans.empty()) {
@@ -272,36 +361,6 @@ void ModelClient::acquire_slots(std::size_t slots) {
   // broadcast lets it (and only it — the predicate orders everyone else)
   // proceed without waiting for a release.
   slot_free_.notify_all();
-}
-
-std::size_t ModelClient::head_run_locked() const {
-  std::size_t run = 0;
-  for (const PendingRequest& request : pending_) {
-    if (!params_equal(request.params, pending_.front().params)) break;
-    ++run;
-    if (batcher_.max_batch > 0 && run >= batcher_.max_batch) break;
-  }
-  return run;
-}
-
-std::vector<ModelClient::PendingRequest> ModelClient::collect_group_locked() {
-  std::vector<PendingRequest> group;
-  if (pending_.empty()) return group;
-  const std::size_t cap =
-      batcher_.max_batch == 0 ? pending_.size() : batcher_.max_batch;
-  group.reserve(std::min(cap, pending_.size()));
-  const GenerationParams head_params = pending_.front().params;
-  while (!pending_.empty() && group.size() < cap &&
-         params_equal(pending_.front().params, head_params)) {
-    group.push_back(std::move(pending_.front()));
-    pending_.pop_front();
-  }
-  // The queue just shrank: blocked-overflow submitters may fit now.
-  if (batcher_.max_pending > 0 &&
-      batcher_.overflow == OverflowPolicy::kBlock) {
-    room_cv_.notify_all();
-  }
-  return group;
 }
 
 bool ModelClient::breaker_admit() {
@@ -395,11 +454,13 @@ bool ModelClient::backoff_wait(std::uint32_t retry, const std::string& prompt,
   // Never sleep past the request's deadline: wake at the deadline and let
   // the caller's boundary check convert the expiry into a timeout.
   if (has_deadline && deadline < until) until = deadline;
-  support::UniqueLock lock(batch_mutex_);
-  while (!shutting_down_) {
-    if (batch_cv_.wait_until(lock, until) == std::cv_status::timeout) break;
+  support::UniqueLock lock(batcher_->mutex);
+  while (!batcher_->shutting_down) {
+    if (batcher_->cv.wait_until(lock, until) == std::cv_status::timeout) {
+      break;
+    }
   }
-  return !shutting_down_;
+  return !batcher_->shutting_down;
 }
 
 void ModelClient::resolve_requests(
@@ -568,6 +629,7 @@ void ModelClient::execute_flush(std::vector<PendingRequest>& group,
       case FlushReason::kImmediate: ++stats_.flush_immediate; break;
       case FlushReason::kFull: ++stats_.flush_full; break;
       case FlushReason::kWindow: ++stats_.flush_window; break;
+      case FlushReason::kIdle: ++stats_.flush_idle; break;
     }
     ++stats_.occupancy_hist[ClientStats::occupancy_bucket(group.size())];
   }
@@ -665,6 +727,18 @@ void ModelClient::execute_flush(std::vector<PendingRequest>& group,
   }
 }
 
+ModelClient::PendingRequest ModelClient::make_request(
+    const std::string& prompt, const GenerationParams& params,
+    bool batch_origin) const {
+  PendingRequest request;
+  request.prompt = prompt;
+  request.params = params;
+  request.state = std::make_shared<detail::CompletionState>(
+      batcher_->config.window_us > 0 ? batcher_ : nullptr);
+  request.batch_origin = batch_origin;
+  return request;
+}
+
 std::vector<CompletionFuture> ModelClient::enqueue(
     std::vector<PendingRequest> requests) {
   std::vector<CompletionFuture> futures;
@@ -672,19 +746,31 @@ std::vector<CompletionFuture> ModelClient::enqueue(
   for (const PendingRequest& request : requests) {
     futures.push_back(CompletionFuture(request.state));
   }
+  // From here on a request's state is reached through its future: the
+  // kBlock path moves requests into the queue one at a time.
+  const auto fail_from = [&futures](std::size_t first,
+                                    const std::exception_ptr& error) {
+    for (std::size_t i = first; i < futures.size(); ++i) {
+      fail_state(futures[i].state_, error);
+    }
+  };
 
+  // The queue is reached through a reference taken now: a kBlock
+  // submitter parked below may wake after the client is gone, and the
+  // queue outlives it through the states this call holds.
+  detail::Batcher& queue = *batcher_;
+  const BatcherConfig& config = queue.config;
   std::vector<std::vector<PendingRequest>> flushes;
   FlushReason reason = FlushReason::kImmediate;
   {
-    support::UniqueLock lock(batch_mutex_);
-    if (shutting_down_) {
-      const auto error = std::make_exception_ptr(ClientShutdownError(
-          "ModelClient: submit during shutdown"));
-      for (const PendingRequest& request : requests) {
-        fail_state(request.state, error);
-      }
+    support::UniqueLock lock(queue.mutex);
+    if (queue.shutting_down) {
+      fail_from(0, std::make_exception_ptr(ClientShutdownError(
+                       "ModelClient: submit during shutdown")));
       return futures;
     }
+    const auto now = std::chrono::steady_clock::now();
+    if (config.window_us > 0) queue.note_submission_locked(now);
     // Bounded pending queue (S2). kShed fails the overflowing tail now.
     // kBlock parks this submitter until the window flusher (or a filling
     // caller) drains the queue below the bound; it needs that external
@@ -693,64 +779,61 @@ std::vector<CompletionFuture> ModelClient::enqueue(
     // could only wait on itself.
     std::size_t admit = requests.size();
     bool pushed = false;
-    if (batcher_.max_pending > 0) {
-      if (batcher_.overflow == OverflowPolicy::kShed) {
-        const std::size_t room = batcher_.max_pending > pending_.size()
-                                     ? batcher_.max_pending - pending_.size()
+    if (config.max_pending > 0) {
+      if (config.overflow == OverflowPolicy::kShed) {
+        const std::size_t room = config.max_pending > queue.pending.size()
+                                     ? config.max_pending - queue.pending.size()
                                      : 0;
         if (admit > room) {
-          const auto error = std::make_exception_ptr(QueueOverflowError(
-              "ModelClient: pending queue full (max_pending " +
-              std::to_string(batcher_.max_pending) + "), request shed"));
-          for (std::size_t i = room; i < requests.size(); ++i) {
-            fail_state(requests[i].state, error);
-          }
+          fail_from(room, std::make_exception_ptr(QueueOverflowError(
+                              "ModelClient: pending queue full (max_pending " +
+                              std::to_string(config.max_pending) +
+                              "), request shed")));
           pending_shed_.fetch_add(admit - room, std::memory_order_relaxed);
           admit = room;
         }
-      } else if (batcher_.window_us > 0) {
+      } else if (config.window_us > 0) {
         pushed = true;
         for (std::size_t i = 0; i < requests.size(); ++i) {
-          while (!(shutting_down_ ||
-                   pending_.size() < batcher_.max_pending)) {
-            room_cv_.wait(lock);
+          while (!(queue.shutting_down ||
+                   queue.pending.size() < config.max_pending)) {
+            queue.room_cv.wait(lock);
           }
-          if (shutting_down_) {
-            const auto error = std::make_exception_ptr(ClientShutdownError(
-                "ModelClient: submit during shutdown"));
-            for (std::size_t j = i; j < requests.size(); ++j) {
-              fail_state(requests[j].state, error);
-            }
-            break;
+          if (queue.shutting_down) {
+            // The client may be gone: touch nothing of it.
+            fail_from(i, std::make_exception_ptr(ClientShutdownError(
+                             "ModelClient: submit during shutdown")));
+            return futures;
           }
           requests[i].enqueued = std::chrono::steady_clock::now();
-          pending_.push_back(std::move(requests[i]));
+          queue.pending.push_back(std::move(requests[i]));
           // Wake the window flusher per push: this submitter may park on
-          // room_cv_ before reaching the post-loop notify, and the flusher
+          // room_cv before reaching the post-loop notify, and the flusher
           // is the drainer it is waiting for.
-          batch_cv_.notify_all();
+          queue.cv.notify_all();
         }
       }
     }
     if (!pushed) {
-      const auto now = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < admit; ++i) {
         requests[i].enqueued = now;
-        pending_.push_back(std::move(requests[i]));
+        queue.pending.push_back(std::move(requests[i]));
       }
     }
     std::size_t high = pending_high_water_.load(std::memory_order_relaxed);
-    while (pending_.size() > high &&
+    while (queue.pending.size() > high &&
            !pending_high_water_.compare_exchange_weak(
-               high, pending_.size(), std::memory_order_relaxed)) {
+               high, queue.pending.size(), std::memory_order_relaxed)) {
     }
-    if (batcher_.window_us == 0) {
+    if (config.window_us == 0) {
       // Paper mode: this submission flushes now, in its entirety. The
       // enqueue + collect runs under one lock acquisition, so nothing from
       // a concurrent caller can ever ride along (sequential pricing stays
       // bit-exact) and nothing is ever left pending.
       reason = FlushReason::kImmediate;
-      while (!pending_.empty()) flushes.push_back(collect_group_locked());
+      while (!queue.pending.empty()) {
+        flushes.push_back(queue.collect_group_locked());
+      }
     } else {
       reason = FlushReason::kFull;
       // "Full" means the *head equal-params run* reached max_batch — only
@@ -759,81 +842,106 @@ std::vector<CompletionFuture> ModelClient::enqueue(
       // strength of requests queued behind it (FIFO head-of-line: it
       // waits for its own window or for same-params arrivals); so every
       // kFull flush really carries max_batch prompts.
-      while (batcher_.max_batch > 0 &&
-             head_run_locked() >= batcher_.max_batch) {
-        flushes.push_back(collect_group_locked());
+      while (config.max_batch > 0 &&
+             queue.head_run_locked() >= config.max_batch) {
+        flushes.push_back(queue.collect_group_locked());
       }
-      // Whatever remains waits for more arrivals or the window; (re)arm
-      // the flusher on the new oldest pending request.
-      if (!pending_.empty()) batch_cv_.notify_all();
+      // Whatever remains waits for more arrivals, an idle waiter or the
+      // window; (re)arm the flusher on the new oldest pending request.
+      if (!queue.pending.empty()) queue.cv.notify_all();
     }
-    active_flushes_ += flushes.size();
+    queue.active_flushes += flushes.size();
   }
 
   for (auto& group : flushes) {
     execute_flush(group, reason);
     {
-      support::MutexLock lock(batch_mutex_);
-      --active_flushes_;
+      support::MutexLock lock(queue.mutex);
+      --queue.active_flushes;
       // Broadcast UNDER the lock, deliberately: the destructor's drain
       // loop wakes on this decrement, and with the broadcast outside the
-      // critical section it could observe active_flushes_ == 0 (via its
-      // own lock acquisition racing ahead), destroy the client, and free
-      // this condition variable while the broadcast was still touching
-      // it. Under the lock, the destructor cannot re-acquire until the
-      // broadcast has fully left the condvar. Caught by TSan; pinned by
+      // critical section it could observe active_flushes == 0 (via its
+      // own lock acquisition racing ahead), destroy the client — and with
+      // window_us == 0 the queue with it — and free this condition
+      // variable while the broadcast was still touching it. Under the
+      // lock, the destructor cannot re-acquire until the broadcast has
+      // fully left the condvar. Caught by TSan; pinned by
       // AsyncShutdownTest.InFlightFlushDrainsBeforeDestruction and
       // InlineFlushNotifyCannotOutliveClient.
-      flush_done_.notify_all();
+      queue.flush_done.notify_all();
     }
   }
   return futures;
 }
 
+void ModelClient::begin_wait(detail::Batcher& queue) {
+  support::UniqueLock lock(queue.mutex);
+  ++queue.waiters;
+  queue.set_waiting_locked(true);
+  // Flush everything pending while the rule holds: every recent submitter
+  // is blocked, so nobody the window would wait for is left to add to the
+  // batch. Like a filling submitter, this thread runs the pass inline.
+  while (!queue.shutting_down && !queue.pending.empty() &&
+         queue.idle_locked(std::chrono::steady_clock::now())) {
+    std::vector<PendingRequest> group = queue.collect_group_locked();
+    ++queue.active_flushes;
+    lock.unlock();
+    queue.client->execute_flush(group, FlushReason::kIdle);
+    lock.lock();
+    --queue.active_flushes;
+    queue.flush_done.notify_all();
+  }
+}
+
+void ModelClient::end_wait(detail::Batcher& queue) {
+  support::MutexLock lock(queue.mutex);
+  --queue.waiters;
+  queue.set_waiting_locked(false);
+}
+
 void ModelClient::flusher_main() {
-  const auto window = std::chrono::microseconds(batcher_.window_us);
-  support::UniqueLock lock(batch_mutex_);
+  detail::Batcher& queue = *batcher_;
+  const auto window = std::chrono::microseconds(queue.config.window_us);
+  support::UniqueLock lock(queue.mutex);
   for (;;) {
-    while (!(shutting_down_ || !pending_.empty())) batch_cv_.wait(lock);
-    if (shutting_down_) return;
-    // Sleep until the oldest pending request's window expires; arrivals
-    // and shutdown re-wake us (a full-triggered flush may also empty the
-    // queue while we sleep — re-check everything on every wake).
-    while (!shutting_down_ && !pending_.empty()) {
-      const auto deadline = pending_.front().enqueued + window;
-      if (std::chrono::steady_clock::now() >= deadline) break;
-      batch_cv_.wait_until(lock, deadline);
+    while (!(queue.shutting_down || !queue.pending.empty())) {
+      queue.cv.wait(lock);
     }
-    if (shutting_down_) return;
-    if (pending_.empty()) continue;
-    std::vector<PendingRequest> group = collect_group_locked();
-    ++active_flushes_;
+    if (queue.shutting_down) return;
+    // Sleep until the oldest pending request's window expires; arrivals
+    // and shutdown re-wake us (a full or idle flush may also empty the
+    // queue while we sleep — re-check everything on every wake).
+    while (!queue.shutting_down && !queue.pending.empty()) {
+      const auto deadline = queue.pending.front().enqueued + window;
+      if (std::chrono::steady_clock::now() >= deadline) break;
+      queue.cv.wait_until(lock, deadline);
+    }
+    if (queue.shutting_down) return;
+    if (queue.pending.empty()) continue;
+    std::vector<PendingRequest> group = queue.collect_group_locked();
+    ++queue.active_flushes;
     lock.unlock();
     execute_flush(group, FlushReason::kWindow);
     lock.lock();
-    --active_flushes_;
-    flush_done_.notify_all();
+    --queue.active_flushes;
+    queue.flush_done.notify_all();
   }
 }
 
 CompletionFuture ModelClient::submit(const std::string& prompt,
                                      const GenerationParams& params) {
-  std::vector<PendingRequest> requests(1);
-  requests[0].prompt = prompt;
-  requests[0].params = params;
-  requests[0].state = std::make_shared<detail::CompletionState>();
+  std::vector<PendingRequest> requests;
+  requests.push_back(make_request(prompt, params, false));
   return enqueue(std::move(requests))[0];
 }
 
 std::vector<CompletionFuture> ModelClient::submit_many(
     const std::vector<std::string>& prompts, const GenerationParams& params) {
   if (prompts.empty()) return {};
-  std::vector<PendingRequest> requests(prompts.size());
-  for (std::size_t i = 0; i < prompts.size(); ++i) {
-    requests[i].prompt = prompts[i];
-    requests[i].params = params;
-    requests[i].state = std::make_shared<detail::CompletionState>();
-    requests[i].batch_origin = true;
+  std::vector<PendingRequest> requests;
+  requests.reserve(prompts.size());
+  for (const std::string& prompt : prompts) {
+    requests.push_back(make_request(prompt, params, true));
   }
   return enqueue(std::move(requests));
 }
@@ -874,8 +982,13 @@ std::size_t ModelClient::queue_depth() const {
 }
 
 std::size_t ModelClient::pending_depth() const {
-  support::MutexLock lock(batch_mutex_);
-  return pending_.size();
+  support::MutexLock lock(batcher_->mutex);
+  return batcher_->pending.size();
+}
+
+std::size_t ModelClient::blocked_waiters() const {
+  support::MutexLock lock(batcher_->mutex);
+  return batcher_->waiters;
 }
 
 std::vector<Transcript> ModelClient::transcripts() const {

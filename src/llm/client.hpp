@@ -39,7 +39,8 @@ enum class OverflowPolicy {
 ///
 /// Pending submissions coalesce across all callers and flush as one
 /// generate_batch() forward pass when the batch is full (`max_batch`
-/// requests pending) or the wait window (`window_us`) of the oldest pending
+/// requests pending), when no caller is left to add to it (FlushReason::
+/// kIdle), or when the wait window (`window_us`) of the oldest pending
 /// request elapses — whichever comes first.
 ///
 /// The defaults are **paper mode**: `window_us = 0` flushes every
@@ -54,9 +55,10 @@ struct BatcherConfig {
   /// takes everything pending (every complete_many() call then maps to one
   /// forward pass, the PR 2 shape).
   std::size_t max_batch = 0;
-  /// How long a pending request may wait for the batch to fill before the
-  /// flusher thread submits it anyway. 0 = flush immediately on every
-  /// submission (no flusher thread, no cross-caller coalescing).
+  /// Upper bound on how long a pending request may wait for the batch to
+  /// fill before the flusher thread submits it anyway; an idle flush may
+  /// end the wait sooner. 0 = flush immediately on every submission (no
+  /// flusher thread, no cross-caller coalescing).
   std::uint64_t window_us = 0;
   /// Bound on the pending queue. 0 (the default) keeps it unbounded — the
   /// pre-resilience behaviour every bench and the paper-mode pinning rely
@@ -118,6 +120,11 @@ enum class FlushReason {
   kImmediate,  ///< window_us == 0: flushed at submission time
   kFull,       ///< pending depth reached max_batch
   kWindow,     ///< the oldest pending request's wait window elapsed
+  /// Every thread that submitted within the last window is blocked waiting
+  /// on this client, and submissions rarely arrive within a window of
+  /// another thread's: nobody is likely to add to the batch, so the last
+  /// thread to start waiting flushes it (see CompletionFuture::wait).
+  kIdle,
 };
 
 /// Every ClientStats statistic, declared once, in the higher-order-macro
@@ -150,8 +157,8 @@ enum class FlushReason {
 ///   max_batch — largest single batched pass so far.
 ///   formed_batches — forward passes the batcher executed, of any size and
 ///     origin: the truthful occupancy denominator.
-///   flush_immediate, flush_full, flush_window — FlushReason split of
-///     formed_batches.
+///   flush_immediate, flush_full, flush_window, flush_idle — FlushReason
+///     split of formed_batches.
 ///   pending_high_water — most requests simultaneously pending (submitted,
 ///     not yet flushed) over the client's lifetime.
 ///   occupancy_hist — flush sizes, bucketed by occupancy_bucket().
@@ -181,6 +188,7 @@ enum class FlushReason {
   COUNTER(std::uint64_t, flush_immediate)                               \
   COUNTER(std::uint64_t, flush_full)                                    \
   COUNTER(std::uint64_t, flush_window)                                  \
+  COUNTER(std::uint64_t, flush_idle)                                    \
   PEAK(std::size_t, pending_high_water)                                 \
   HIST(occupancy_hist, occupancy,                                       \
        llm4vv::llm::ClientStats::kOccupancyBuckets,                     \
@@ -240,10 +248,21 @@ struct ClientStats {
   static const char* retry_latency_bucket_label(std::size_t bucket) noexcept;
 };
 
+class ModelClient;
+
 namespace detail {
+struct Batcher;
+
 /// Shared state behind a CompletionFuture; fulfilled exactly once by the
 /// flush that served it (or failed with its exception / at shutdown).
 struct CompletionState {
+  explicit CompletionState(std::shared_ptr<Batcher> queued_on)
+      : batcher(std::move(queued_on)) {}
+
+  /// The batcher this request was queued on, for the wait-side idle flush;
+  /// null when window_us == 0 (the request resolves before its future is
+  /// handed out). Immutable.
+  const std::shared_ptr<Batcher> batcher;
   support::Mutex mutex;
   support::CondVar cv;
   bool done GUARDED_BY(mutex) = false;
@@ -251,6 +270,88 @@ struct CompletionState {
   std::exception_ptr error GUARDED_BY(mutex);
   /// Size of the forward pass that served this completion (0 on failure).
   std::size_t flush_size GUARDED_BY(mutex) = 0;
+};
+
+/// One request waiting in the adaptive batcher.
+struct PendingRequest {
+  std::string prompt;
+  GenerationParams params;
+  std::shared_ptr<CompletionState> state;
+  /// Arrived through submit_many/complete_many: a batch call of one
+  /// prompt still counts in `batches`.
+  bool batch_origin = false;
+  std::chrono::steady_clock::time_point enqueued;
+};
+
+/// The adaptive batcher: the pending queue and the state of its flush
+/// rules. The client owns it, and every future of a windowed client shares
+/// it, so CompletionFuture::wait() can lock it after the client is gone.
+/// `client` is dereferenced only by a flush counted in `active_flushes`
+/// while `!shutting_down`: ~ModelClient sets `shutting_down`, empties
+/// `pending` (which also breaks the state -> batcher -> pending -> state
+/// reference cycle) and drains those flushes before any client member
+/// dies.
+struct Batcher {
+  Batcher(const BatcherConfig& batcher_config, ModelClient* owner)
+      : config(batcher_config), client(owner) {}
+
+  /// Submissions the close-arrival share is taken over (one bit each).
+  static constexpr int kArrivalHistory = 64;
+  /// Close arrivals among the last kArrivalHistory submissions at which
+  /// the idle flush stands down: 1 in 8.
+  static constexpr int kCloseArrivalLimit = kArrivalHistory / 8;
+
+  const BatcherConfig config;
+  ModelClient* const client;
+
+  support::Mutex mutex;
+  /// Wakes the window flusher and retry backoffs (arrivals, shutdown).
+  support::CondVar cv;
+  /// Wakes OverflowPolicy::kBlock submitters when the pending queue drains
+  /// below max_pending (notified wherever `pending` shrinks).
+  support::CondVar room_cv;
+  /// Broadcast, under `mutex`, whenever `active_flushes` drops.
+  support::CondVar flush_done;
+  std::deque<PendingRequest> pending GUARDED_BY(mutex);
+  /// Flushes running on caller threads (filling submitters and idle
+  /// waiters); the client's destructor waits for them.
+  std::size_t active_flushes GUARDED_BY(mutex) = 0;
+  bool shutting_down GUARDED_BY(mutex) = false;
+
+  /// A thread that submitted within the last window.
+  struct Submitter {
+    std::thread::id thread;
+    std::chrono::steady_clock::time_point last_submit;
+    /// Blocked in CompletionFuture::wait() on an unresolved request.
+    bool waiting = false;
+  };
+  std::vector<Submitter> submitters GUARDED_BY(mutex);
+  /// One bit per submission, newest in bit 0: whether it arrived within a
+  /// window of another thread's submission.
+  std::uint64_t close_arrivals GUARDED_BY(mutex) = 0;
+  /// Threads blocked in CompletionFuture::wait() on this batcher's
+  /// requests, submitters or not.
+  std::size_t waiters GUARDED_BY(mutex) = 0;
+
+  /// Length of the FIFO head run of equal-params pending requests (capped
+  /// at max_batch) — the requests one flush could actually carry.
+  std::size_t head_run_locked() const REQUIRES(mutex);
+  /// Pop the longest FIFO run of equal-params pending requests (capped at
+  /// max_batch).
+  std::vector<PendingRequest> collect_group_locked() REQUIRES(mutex);
+  /// Record a submission by the calling thread at `now`: drop submitters
+  /// older than a window and note whether another thread submitted within
+  /// one.
+  void note_submission_locked(std::chrono::steady_clock::time_point now)
+      REQUIRES(mutex);
+  /// Mark the calling thread as blocked in wait() (or no longer).
+  void set_waiting_locked(bool waiting) REQUIRES(mutex);
+  /// The idle rule: every thread that submitted within the last window is
+  /// waiting, and fewer than kCloseArrivalLimit of the last
+  /// kArrivalHistory submissions arrived within a window of another
+  /// thread's.
+  bool idle_locked(std::chrono::steady_clock::time_point now) const
+      REQUIRES(mutex);
 };
 }  // namespace detail
 
@@ -265,7 +366,10 @@ class CompletionFuture {
   bool valid() const noexcept { return state_ != nullptr; }
   /// True when get() will not block.
   bool ready() const;
-  /// Block until the request is flushed (or failed).
+  /// Block until the request is flushed (or failed). On a windowed client
+  /// the waiting thread first runs the pending batch itself when nobody is
+  /// likely to add to it (FlushReason::kIdle); window_us stays the upper
+  /// bound on the wait.
   void wait() const;
   /// Block until resolved and return the completion; rethrows the flush's
   /// exception on failure. Idempotent.
@@ -397,8 +501,14 @@ class ModelClient {
   /// yet flushed).
   std::size_t pending_depth() const;
 
+  /// Threads currently blocked in CompletionFuture::wait()/get() on this
+  /// client's unresolved requests (always 0 with window_us == 0, where a
+  /// future is resolved before it is handed out). A live gauge for
+  /// deterministic tests of the idle flush.
+  std::size_t blocked_waiters() const;
+
   /// The batcher configuration this client runs with.
-  const BatcherConfig& batcher() const noexcept { return batcher_; }
+  const BatcherConfig& batcher() const noexcept { return batcher_->config; }
 
   /// The retry policy this client runs with.
   const RetryPolicy& retry_policy() const noexcept { return retry_; }
@@ -416,16 +526,8 @@ class ModelClient {
   std::string model_name() const { return model_->name(); }
 
  private:
-  /// One request waiting in the adaptive batcher.
-  struct PendingRequest {
-    std::string prompt;
-    GenerationParams params;
-    std::shared_ptr<detail::CompletionState> state;
-    /// Arrived through submit_many/complete_many (batch accounting keeps
-    /// the PR 2 meaning of `batches` for single-prompt batch calls).
-    bool batch_origin = false;
-    std::chrono::steady_clock::time_point enqueued;
-  };
+  friend class CompletionFuture;
+  using PendingRequest = detail::PendingRequest;
 
   /// RAII lease on acquired concurrency slots: the destructor returns them
   /// and wakes every waiter (multi-slot flush waiters need the broadcast),
@@ -441,18 +543,25 @@ class ModelClient {
   /// `slots` slots free; admits the caller and passes the head on.
   void acquire_slots(std::size_t slots) EXCLUDES(mutex_);
 
+  /// A fresh request of `prompt`, its future's state tied to this
+  /// client's batcher when it has a window.
+  PendingRequest make_request(const std::string& prompt,
+                              const GenerationParams& params,
+                              bool batch_origin) const;
+
   /// Enqueue requests and run whatever flush policy triggers. Returns the
   /// futures in request order.
   std::vector<CompletionFuture> enqueue(std::vector<PendingRequest> requests)
-      EXCLUDES(batch_mutex_);
+      EXCLUDES(batcher_->mutex);
 
-  /// Length of the FIFO head run of equal-params pending requests (capped
-  /// at max_batch) — the requests one flush could actually carry.
-  std::size_t head_run_locked() const REQUIRES(batch_mutex_);
-
-  /// Pop the longest FIFO run of equal-params pending requests (capped at
-  /// max_batch).
-  std::vector<PendingRequest> collect_group_locked() REQUIRES(batch_mutex_);
+  /// Wait-side hook of CompletionFuture::wait(): register the calling
+  /// thread as blocked, then run kIdle flushes inline while the idle rule
+  /// holds and requests are pending. Touches the client only through
+  /// flushes counted in `active_flushes`, so it is safe after the client
+  /// is gone.
+  static void begin_wait(detail::Batcher& queue) EXCLUDES(queue.mutex);
+  /// Unregister the calling thread once its request resolved.
+  static void end_wait(detail::Batcher& queue) EXCLUDES(queue.mutex);
 
   /// Per-request result of a flush's resilient resolution (defined in the
   /// .cpp; the header only passes references around).
@@ -464,7 +573,7 @@ class ModelClient {
   /// and fulfill its futures. Never throws: every failure is stored into
   /// the affected futures instead.
   void execute_flush(std::vector<PendingRequest>& group, FlushReason reason)
-      EXCLUDES(batch_mutex_, mutex_);
+      EXCLUDES(batcher_->mutex, mutex_);
 
   /// Resolve `indices` of `group` (requests sharing their attempt
   /// history), starting at 0-based `attempt`: run a pass, and on failure
@@ -484,7 +593,7 @@ class ModelClient {
   /// shutting down (the caller then cancels the retry).
   bool backoff_wait(std::uint32_t retry, const std::string& prompt,
                     std::chrono::steady_clock::time_point deadline,
-                    bool has_deadline) EXCLUDES(batch_mutex_);
+                    bool has_deadline) EXCLUDES(batcher_->mutex);
 
   /// Breaker admission for one pass attempt; false = fail fast.
   bool breaker_admit() EXCLUDES(breaker_mutex_);
@@ -492,7 +601,7 @@ class ModelClient {
   void breaker_record(bool success) EXCLUDES(breaker_mutex_);
 
   /// Window-flush thread body (only started when window_us > 0).
-  void flusher_main() EXCLUDES(batch_mutex_);
+  void flusher_main() EXCLUDES(batcher_->mutex);
 
   std::shared_ptr<const LanguageModel> model_;
   /// Span sink; null (the default) = tracing off, one branch per would-be
@@ -500,7 +609,6 @@ class ModelClient {
   std::shared_ptr<obs::Tracer> tracer_;
   const std::size_t max_concurrency_;
   const std::size_t transcript_capacity_;
-  const BatcherConfig batcher_;
   const RetryPolicy retry_;
   const CircuitBreakerConfig breaker_config_;
 
@@ -518,21 +626,11 @@ class ModelClient {
   std::deque<Transcript> transcripts_ GUARDED_BY(mutex_);
 
   /// Adaptive-batcher state, under its own lock so submissions never
-  /// contend with the stats/slot lock.
-  mutable support::Mutex batch_mutex_;
-  support::CondVar batch_cv_;
-  std::deque<PendingRequest> pending_ GUARDED_BY(batch_mutex_);
-  /// Flushes currently executing on caller threads; the destructor waits
-  /// for them so an in-flight pass can never touch a dead client.
-  std::size_t active_flushes_ GUARDED_BY(batch_mutex_) = 0;
-  support::CondVar flush_done_;
-  bool shutting_down_ GUARDED_BY(batch_mutex_) = false;
+  /// contend with the stats/slot lock; shared with the futures.
+  const std::shared_ptr<detail::Batcher> batcher_;
   std::atomic<std::size_t> pending_high_water_{0};
-  /// Wakes OverflowPolicy::kBlock submitters when the pending queue
-  /// drains below max_pending (notified wherever pending_ shrinks).
-  support::CondVar room_cv_;
   /// Shed/breaker counters live outside stats_ so the enqueue path (which
-  /// holds batch_mutex_) and the breaker (its own lock) never have to
+  /// holds the batcher lock) and the breaker (its own lock) never have to
   /// take the stats lock; stats() folds them into the snapshot.
   std::atomic<std::uint64_t> pending_shed_{0};
   std::atomic<std::uint64_t> breaker_opens_{0};

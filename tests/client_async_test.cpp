@@ -36,6 +36,25 @@ std::vector<std::string> sample_prompts(std::size_t count) {
   return prompts;
 }
 
+/// Wait for `future` by polling ready(): the thread never blocks in
+/// wait()/get(), so it cannot run an idle flush, and a test that means the
+/// window path keeps testing it.
+void poll_until_ready(const CompletionFuture& future) {
+  while (!future.ready()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+}
+
+/// Spin until `count` threads are blocked waiting on `client`'s requests,
+/// or until `watched` resolves (a flush the test did not expect: the
+/// caller's next check then fails instead of spinning forever).
+void await_blocked_waiters(const ModelClient& client, std::size_t count,
+                           const CompletionFuture& watched) {
+  while (client.blocked_waiters() < count && !watched.ready()) {
+    std::this_thread::yield();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence with the blocking path
 // ---------------------------------------------------------------------------
@@ -140,7 +159,7 @@ TEST(AdaptiveBatcherTest, WindowFlushFiresWithoutFurtherArrivals) {
   const auto futures = client.submit_many(prompts);
   // Nothing fills the batch; the flusher thread must resolve these at the
   // window deadline.
-  for (const auto& future : futures) (void)future.get();
+  for (const auto& future : futures) poll_until_ready(future);
   const auto stats = client.stats();
   EXPECT_EQ(stats.formed_batches, 1u);
   EXPECT_EQ(stats.flush_window, 1u);
@@ -240,14 +259,140 @@ TEST(AdaptiveBatcherTest, MixedParamsDoNotFakeAFullFlush) {
       {prompts[1], prompts[2], prompts[3], prompts[4]}, seed_b);
   // Five pending, but no equal-params run of four at the head: nothing
   // may flush as "full"; both groups resolve via their windows.
-  (void)head.get();
-  for (const auto& future : rest) (void)future.get();
+  poll_until_ready(head);
+  for (const auto& future : rest) poll_until_ready(future);
   const auto stats = client.stats();
   EXPECT_EQ(stats.flush_full, 0u);
   EXPECT_EQ(stats.flush_window, 2u);
   EXPECT_EQ(stats.formed_batches, 2u);
   EXPECT_EQ(head.flush_size(), 1u);
   EXPECT_EQ(rest[0].flush_size(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Idle flush: a batch nobody can add to flushes when its last submitter
+// starts waiting. Every test holds a 60 s window, so a flush the test sees
+// is never the window's.
+// ---------------------------------------------------------------------------
+
+BatcherConfig idle_test_batcher(std::size_t max_batch) {
+  BatcherConfig batcher;
+  batcher.max_batch = max_batch;
+  batcher.window_us = 60ull * 1000 * 1000;
+  return batcher;
+}
+
+TEST(IdleFlushTest, LoneSubmitterWaitingFlushesBothGroupsInOnePass) {
+  ModelClient client(std::make_shared<const SimulatedCoderModel>(), 4, 0,
+                     idle_test_batcher(8));
+  const auto prompts = sample_prompts(5);
+  const auto start = std::chrono::steady_clock::now();
+  // Two back-to-back groups, as a judge worker submits its popped chunk:
+  // neither fills the batch, and the second must not be split from the
+  // first.
+  const auto first = client.submit_many({prompts[0], prompts[1]});
+  const auto second =
+      client.submit_many({prompts[2], prompts[3], prompts[4]});
+  EXPECT_FALSE(first[0].ready());
+  EXPECT_EQ(client.pending_depth(), 5u);
+  // This thread is the only submitter; once it blocks, nobody can add.
+  (void)first[0].get();
+  for (const auto& future : second) (void)future.get();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
+  const auto stats = client.stats();
+  EXPECT_EQ(stats.formed_batches, 1u);
+  EXPECT_EQ(stats.flush_idle, 1u);
+  EXPECT_EQ(stats.flush_window, 0u);
+  EXPECT_EQ(stats.flush_full, 0u);
+  EXPECT_EQ(first[0].flush_size(), 5u);
+  EXPECT_EQ(second[2].flush_size(), 5u);
+  EXPECT_EQ(client.blocked_waiters(), 0u);
+}
+
+TEST(IdleFlushTest, RecentSubmitterThatIsNotWaitingKeepsTheBatchOpen) {
+  ModelClient client(std::make_shared<const SimulatedCoderModel>(), 4, 0,
+                     idle_test_batcher(3));
+  const auto prompts = sample_prompts(3);
+  // Another thread submits and never waits: it could submit again.
+  CompletionFuture absent;
+  std::thread([&] { absent = client.submit(prompts[0]); }).join();
+  CompletionFuture mine = client.submit(prompts[1]);
+  std::thread observer([&] {
+    await_blocked_waiters(client, 1, mine);
+    // The waiter is blocked and the batch is still open...
+    EXPECT_EQ(client.pending_depth(), 2u);
+    EXPECT_FALSE(absent.ready());
+    // ...until a third request fills it.
+    (void)client.submit(prompts[2]);
+  });
+  (void)mine.get();
+  observer.join();
+  EXPECT_TRUE(absent.ready());
+  const auto stats = client.stats();
+  EXPECT_EQ(stats.flush_idle, 0u);
+  EXPECT_EQ(stats.flush_full, 1u);
+  EXPECT_EQ(mine.flush_size(), 3u);
+}
+
+TEST(IdleFlushTest, FrequentCrossThreadArrivalsKeepTheWindowBehaviour) {
+  ModelClient client(std::make_shared<const SimulatedCoderModel>(), 4, 0,
+                     idle_test_batcher(3));
+  const auto prompts = sample_prompts(3);
+  // Two threads take turns: each round, this thread submits one prompt
+  // and the partner two, filling the batch, so every submission after the
+  // first lands within a window of the other thread's.
+  std::mutex turn_mutex;
+  std::condition_variable turn_cv;
+  int turn = 0;  // even: this thread's, odd: the partner's
+  constexpr int kRounds = 12;
+  std::thread partner([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      std::unique_lock lock(turn_mutex);
+      turn_cv.wait(lock, [&] { return turn == 2 * round + 1; });
+      lock.unlock();
+      (void)client.submit_many({prompts[1], prompts[2]});  // fills: kFull
+      lock.lock();
+      ++turn;
+      turn_cv.notify_all();
+    }
+    // The last round leaves one partner request pending, then blocks.
+    std::unique_lock lock(turn_mutex);
+    turn_cv.wait(lock, [&] { return turn == 2 * kRounds + 1; });
+    lock.unlock();
+    const CompletionFuture last = client.submit(prompts[1]);
+    (void)last.get();
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    (void)client.submit(prompts[0]);
+    std::unique_lock lock(turn_mutex);
+    ++turn;
+    turn_cv.notify_all();
+    turn_cv.wait(lock, [&] { return turn == 2 * round + 2; });
+  }
+  EXPECT_EQ(client.stats().flush_full, static_cast<std::uint64_t>(kRounds));
+  const CompletionFuture mine = client.submit(prompts[0]);
+  {
+    std::lock_guard lock(turn_mutex);
+    ++turn;
+  }
+  turn_cv.notify_all();
+  std::thread observer([&] {
+    await_blocked_waiters(client, 2, mine);
+    // Both recent submitters are blocked, but arrivals from other threads
+    // have been frequent: the batch stays open for them...
+    EXPECT_EQ(client.pending_depth(), 2u);
+    // ...and the next one fills it.
+    (void)client.submit(prompts[2]);
+  });
+  (void)mine.get();
+  partner.join();
+  observer.join();
+  const auto stats = client.stats();
+  EXPECT_EQ(stats.flush_idle, 0u);
+  EXPECT_EQ(stats.flush_window, 0u);
+  EXPECT_EQ(stats.flush_full, static_cast<std::uint64_t>(kRounds + 1));
+  EXPECT_EQ(mine.flush_size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -373,6 +518,90 @@ TEST(AsyncShutdownTest, InlineFlushNotifyCannotOutliveClient) {
     model->release();
     submitter.join();
     destroyer.join();
+  }
+}
+
+TEST(AsyncShutdownTest, FuturesOutliveTheClientWhileThreadsBlockInGet) {
+  // The wait-side hook shares the batcher with the futures, so threads
+  // blocked in get() when the client dies must come out cleanly: those on
+  // a pass in flight get its completion, those on pending requests get
+  // ClientShutdownError, a kBlock submitter parked on a full queue too —
+  // and every get() after the client is gone answers the same.
+  auto model = std::make_shared<const testutil::GatedModel>();
+  BatcherConfig batcher;
+  batcher.max_batch = 2;
+  batcher.window_us = 60ull * 1000 * 1000;
+  batcher.max_pending = 2;
+  batcher.overflow = OverflowPolicy::kBlock;
+  auto client = std::make_unique<ModelClient>(model, 2, 0, batcher);
+  // Threads reach the client through this pointer, never the unique_ptr
+  // cell the destroyer resets.
+  ModelClient* const raw = client.get();
+  const auto prompts = sample_prompts(4);
+
+  // In flight: the lone submitter's get() runs an idle flush, which holds
+  // at the model's gate.
+  CompletionFuture in_flight;
+  std::mutex in_flight_mutex;
+  std::condition_variable in_flight_cv;
+  std::thread flusher([&] {
+    const CompletionFuture future = raw->submit(prompts[0]);
+    {
+      std::lock_guard lock(in_flight_mutex);
+      in_flight = future;
+    }
+    in_flight_cv.notify_all();
+    EXPECT_FALSE(future.get().text.empty());
+  });
+  model->wait_for_entry();
+  {
+    std::unique_lock lock(in_flight_mutex);
+    in_flight_cv.wait(lock, [&] { return in_flight.valid(); });
+  }
+  std::thread on_in_flight([&] {
+    EXPECT_FALSE(in_flight.get().text.empty());
+  });
+
+  // Pending: two requests of different params (no full pass), submitted
+  // by this thread, which never waits, so no idle flush takes them.
+  GenerationParams seed_b;
+  seed_b.seed = 2;
+  GenerationParams seed_c;
+  seed_c.seed = 3;
+  const CompletionFuture pending_b = raw->submit(prompts[1], seed_b);
+  const CompletionFuture pending_c = raw->submit(prompts[2], seed_c);
+  const auto expect_shutdown = [](const CompletionFuture& future) {
+    EXPECT_THROW((void)future.get(), ClientShutdownError);
+  };
+  std::thread on_pending_b([&] { expect_shutdown(pending_b); });
+  std::thread on_pending_c([&] { expect_shutdown(pending_c); });
+  await_blocked_waiters(*raw, 4, pending_b);
+  EXPECT_EQ(raw->pending_depth(), 2u);
+
+  // kBlock: the queue is full, so this submitter parks (or, if it comes
+  // late, finds the client shutting down) and its request fails.
+  CompletionFuture parked;
+  std::thread blocked_submitter([&] { parked = raw->submit(prompts[3]); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread destroyer([&] { client.reset(); });
+  // The destructor cannot finish while the gated pass is in flight, so
+  // the parked submitter returns before the client is gone.
+  blocked_submitter.join();
+  model->release();
+  destroyer.join();
+  for (std::thread* thread :
+       {&flusher, &on_in_flight, &on_pending_b, &on_pending_c}) {
+    thread->join();
+  }
+
+  // The client is gone; every future still answers.
+  EXPECT_TRUE(in_flight.ready());
+  EXPECT_FALSE(in_flight.get().text.empty());
+  EXPECT_EQ(in_flight.flush_size(), 1u);
+  for (const CompletionFuture& future :
+       std::vector<CompletionFuture>{pending_b, pending_c, parked}) {
+    EXPECT_TRUE(future.ready());
+    expect_shutdown(future);
   }
 }
 

@@ -6,6 +6,7 @@
 // label (TSan leg), so thread counts stay modest.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -277,8 +278,9 @@ struct ServerHarness {
   std::unique_ptr<Server> server;
 
   explicit ServerHarness(ServerConfig config = {},
-                         judge::JudgeCacheConfig cache = {}) {
-    auto client = core::make_simulated_client(2);
+                         judge::JudgeCacheConfig cache = {},
+                         llm::BatcherConfig batcher = {}) {
+    auto client = core::make_simulated_client(2, batcher);
     judge = std::make_shared<const judge::Llmj>(
         client, llm::PromptStyle::kAgentDirect, cache);
     config.registry = registry;
@@ -430,6 +432,50 @@ TEST(ServeServerTest, GracefulDrainLosesNoAcceptedJob) {
   EXPECT_EQ(totals.in_flight, 0u);
   const ServerStats stats = harness.server->stats();
   EXPECT_EQ(stats.orphaned_responses, 0u);
+}
+
+TEST(ServeServerTest, IdleServerAnswersALoneJobLongBeforeTheWindow) {
+  // The judge's batcher may hold a pass for 60 s, but a lone job's worker
+  // is the only submitter, and once it blocks on the verdict nobody can
+  // add to the batch: the idle flush answers the job at once.
+  llm::BatcherConfig batcher;
+  batcher.max_batch = 8;
+  batcher.window_us = 60ull * 1000 * 1000;
+  ServerConfig config;
+  config.workers = 2;
+  ServerHarness harness(config, {}, batcher);
+
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", harness.server->port(), "t"))
+      << client.last_error();
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.send_submit(1, sample_file(1)));
+  std::map<std::uint64_t, int> terminals;
+  auto response = client.next_response(30000);
+  ASSERT_TRUE(response.has_value()) << client.last_error();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
+  ASSERT_EQ(response->type, ResponseType::kVerdict);
+  ASSERT_TRUE(response->has_id);
+  terminals[response->id] += 1;
+
+  // Drain, and count every terminal response left on the wire.
+  harness.server->request_drain();
+  for (;;) {
+    response = client.next_response(30000);
+    if (!response.has_value()) break;  // EOF after the drain completes
+    if (response->terminal()) terminals[response->id] += 1;
+  }
+  harness.server->wait();
+  ASSERT_EQ(terminals.size(), 1u);
+  EXPECT_EQ(terminals[1], 1);
+  const TenantStats totals = harness.server->tenants().totals();
+  EXPECT_EQ(totals.submitted, 1u);
+  EXPECT_EQ(totals.submitted, totals.accepted + totals.shed_total());
+  EXPECT_EQ(totals.accepted, totals.completed_ok + totals.completed_error);
+  EXPECT_EQ(totals.completed_ok, 1u);
+  EXPECT_EQ(totals.in_flight, 0u);
+  EXPECT_EQ(harness.server->stats().orphaned_responses, 0u);
 }
 
 TEST(ServeServerTest, ShutdownOpDrainsFromTheWire) {
