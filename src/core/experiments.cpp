@@ -128,8 +128,8 @@ PartTwoOutcome run_part_two(Flavor flavor,
   pipe_config.execute_workers = options.execute_workers;
   pipe_config.judge_workers = options.judge_workers;
   pipe_config.judge_seed = options.judge_seed;
-  // Paper mode, pinned on both knobs: judge_batch_size = 1 keeps the judge
-  // stage on the sequential per-item path, and the client above runs with
+  // Paper mode, pinned on both knobs: judge_batch_size = 1 makes the judge
+  // stage submit each file on its own, and the client above runs with
   // the default batcher (window_us = 0), so every call is its own
   // immediate flush. Together they preserve the paper's one-completion-
   // per-file accounting — llm_stats and the simulated GPU totals stay

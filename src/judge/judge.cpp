@@ -1,12 +1,16 @@
 #include "judge/judge.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "support/jsonl.hpp"
 #include "support/rng.hpp"
+#include "support/stopwatch.hpp"
 
 namespace llm4vv::judge {
 
@@ -31,6 +35,26 @@ void finish_decision(JudgeDecision& decision, llm::Completion completion) {
   decision.verdict = parse_verdict(decision.completion.text);
   decision.says_valid =
       verdict_says_valid(decision.verdict, /*fallback=*/false);
+}
+
+llm::GenerationParams params_with_seed(std::uint64_t seed) {
+  llm::GenerationParams params;
+  params.seed = seed;
+  return params;
+}
+
+/// The error judge_chunk reports for a failed item: a ModelError as thrown
+/// (kind and attempts kept), anything else as kind kOther with no attempts.
+llm::ModelError as_model_error(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const llm::ModelError& e) {
+    return e;
+  } catch (const std::exception& e) {
+    return llm::ModelError(llm::FailureKind::kOther, e.what(), 0);
+  } catch (...) {
+    return llm::ModelError(llm::FailureKind::kOther, "unknown error", 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -259,6 +283,18 @@ JudgeDecision JudgeFuture::get() const {
   return state_->decision;
 }
 
+namespace {
+
+std::shared_ptr<JudgeFuture::State> new_state(const Llmj* judge,
+                                              std::uint64_t seed) {
+  auto state = std::make_shared<JudgeFuture::State>();
+  state->judge = judge;
+  state->seed = seed;
+  return state;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Llmj
 // ---------------------------------------------------------------------------
@@ -313,19 +349,6 @@ std::uint64_t Llmj::cache_key(std::uint64_t content_hash,
     h = hash_mix(h, support::fnv1a64(exec->stdout_text));
   }
   return h;
-}
-
-JudgeDecision Llmj::evaluate_uncached(const frontend::SourceFile& file,
-                                      const toolchain::CompileResult* compile,
-                                      const toolchain::ExecutionRecord* exec,
-                                      std::uint64_t seed) const {
-  JudgeDecision decision;
-  decision.prompt = build_prompt(style_, file, compile, exec);
-
-  llm::GenerationParams params;
-  params.seed = seed;
-  finish_decision(decision, client_->complete(decision.prompt, params));
-  return decision;
 }
 
 Llmj::Probe Llmj::probe_or_claim(std::uint64_t key,
@@ -432,76 +455,93 @@ JudgeDecision Llmj::wait_for(std::uint64_t key, std::uint64_t content_hash,
     // key): take over as the new owner of this key.
     shard.inflight.insert(key);
   }
-  JudgeDecision decision;
-  try {
-    if (read_through(key, content_hash, request, decision)) return decision;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    decision = evaluate_uncached(*request.file, request.compile,
-                                 request.exec, seed);
-    publish(key, content_hash, decision);
-  } catch (...) {
-    // abandon() after a part-way publish is a harmless no-op erase plus a
-    // spare wakeup; what matters is that the key never stays in flight.
-    abandon(key);
-    throw;
+  // From here the owner state's destructor or resolve() abandons the claim
+  // on any failure, so the key never stays in flight.
+  JudgeFuture::State owner;
+  owner.judge = this;
+  owner.seed = seed;
+  owner.key = key;
+  owner.content_hash = content_hash;
+  if (claim_miss(request, owner)) {
+    owner.completion =
+        client_->submit(owner.decision.prompt, params_with_seed(seed));
   }
-  return decision;
+  owner.resolve();
+  if (owner.error != nullptr) std::rethrow_exception(owner.error);
+  return owner.decision;
+}
+
+bool Llmj::claim_miss(const JudgeRequest& request,
+                      JudgeFuture::State& state) const {
+  state.kind = JudgeFuture::State::Kind::kOwner;
+  state.publish_on_resolve = true;
+  // From here on the state's destructor abandons the claim if it never
+  // resolves — a throw below (or a dropped future) can't strand anyone
+  // waiting on the key.
+  if (read_through(state.key, state.content_hash, request, state.decision)) {
+    state.kind = JudgeFuture::State::Kind::kReady;
+    state.publish_on_resolve = false;
+    state.resolved = true;
+    return false;
+  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  state.decision.prompt =
+      build_prompt(style_, *request.file, request.compile, request.exec);
+  return true;
+}
+
+bool Llmj::classify(const JudgeRequest& request,
+                    const std::shared_ptr<JudgeFuture::State>& state_ptr,
+                    Leaders* leaders) const {
+  using Kind = JudgeFuture::State::Kind;
+  JudgeFuture::State& state = *state_ptr;
+  if (!cache_config_.enabled) {
+    // Paper accounting: every item, duplicates included, is submitted.
+    state.kind = Kind::kOwner;
+    state.decision.prompt =
+        build_prompt(style_, *request.file, request.compile, request.exec);
+    return true;
+  }
+  state.content_hash = support::fnv1a64(request.file->content);
+  state.key = cache_key(state.content_hash, *request.file, request.compile,
+                        request.exec, state.seed);
+  // A second copy of a key this batch claimed follows the first instead
+  // of deadlocking on its own in-flight marker.
+  if (leaders != nullptr) {
+    const auto leader = leaders->find(state.key);
+    if (leader != leaders->end()) {
+      state.kind = Kind::kFollower;
+      state.leader = leader->second;
+      return false;
+    }
+  }
+  switch (probe_or_claim(state.key, state.content_hash, state.decision)) {
+    case Probe::kHit:
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      state.kind = Kind::kReady;
+      state.resolved = true;
+      return false;
+    case Probe::kBusy:
+      state.kind = Kind::kPeerWait;
+      state.request = request;
+      return false;
+    case Probe::kClaimed:
+      break;
+  }
+  // A key the store served is published, so a later copy in this batch
+  // hits the memo instead of following this item.
+  if (!claim_miss(request, state)) return false;
+  if (leaders != nullptr) leaders->emplace(state.key, state_ptr);
+  return true;
 }
 
 JudgeFuture Llmj::evaluate_async(const JudgeRequest& request,
                                  std::uint64_t seed) const {
-  async_items_.fetch_add(1, std::memory_order_relaxed);
-  auto state = std::make_shared<JudgeFuture::State>();
-  state->judge = this;
-  state->seed = seed;
-
-  llm::GenerationParams params;
-  params.seed = seed;
-
-  if (!cache_config_.enabled) {
-    state->kind = JudgeFuture::State::Kind::kOwner;
-    state->decision.prompt =
-        build_prompt(style_, *request.file, request.compile, request.exec);
-    state->completion = client_->submit(state->decision.prompt, params);
-    return JudgeFuture(std::move(state));
+  auto state = new_state(this, seed);
+  if (classify(request, state, nullptr)) {
+    state->completion =
+        client_->submit(state->decision.prompt, params_with_seed(seed));
   }
-
-  const std::uint64_t content_hash = support::fnv1a64(request.file->content);
-  const std::uint64_t key =
-      cache_key(content_hash, *request.file, request.compile, request.exec,
-                seed);
-  switch (probe_or_claim(key, content_hash, state->decision)) {
-    case Probe::kHit:
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      state->kind = JudgeFuture::State::Kind::kReady;
-      state->resolved = true;
-      return JudgeFuture(std::move(state));
-    case Probe::kBusy:
-      state->kind = JudgeFuture::State::Kind::kPeerWait;
-      state->key = key;
-      state->content_hash = content_hash;
-      state->request = request;
-      return JudgeFuture(std::move(state));
-    case Probe::kClaimed:
-      break;
-  }
-  state->kind = JudgeFuture::State::Kind::kOwner;
-  state->key = key;
-  state->content_hash = content_hash;
-  state->publish_on_resolve = true;
-  // From here on the state's destructor abandons the claim if this future
-  // never resolves — a throw below (or a dropped future) can't strand
-  // anyone waiting on the key.
-  if (read_through(key, content_hash, request, state->decision)) {
-    state->kind = JudgeFuture::State::Kind::kReady;
-    state->publish_on_resolve = false;
-    state->resolved = true;
-    return JudgeFuture(std::move(state));
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  state->decision.prompt =
-      build_prompt(style_, *request.file, request.compile, request.exec);
-  state->completion = client_->submit(state->decision.prompt, params);
   return JudgeFuture(std::move(state));
 }
 
@@ -510,114 +550,118 @@ std::vector<JudgeFuture> Llmj::evaluate_async_many(
   std::vector<JudgeFuture> futures;
   futures.reserve(batch.size());
   if (batch.empty()) return futures;
-  async_items_.fetch_add(batch.size(), std::memory_order_relaxed);
 
-  llm::GenerationParams params;
-  params.seed = seed;
-
+  // Classify every item. If anything below throws, the states' destructors
+  // abandon every claimed key, so other threads cannot wait on this batch
+  // forever.
   std::vector<std::shared_ptr<JudgeFuture::State>> states;
   states.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    states.push_back(std::make_shared<JudgeFuture::State>());
-    states.back()->judge = this;
-    states.back()->seed = seed;
+  Leaders leaders;
+  std::vector<std::size_t> submitted;
+  std::vector<std::string> prompts;
+  for (const JudgeRequest& request : batch) {
+    states.push_back(new_state(this, seed));
+    if (classify(request, states.back(), &leaders)) {
+      submitted.push_back(states.size() - 1);
+      prompts.push_back(states.back()->decision.prompt);
+    }
   }
 
-  if (!cache_config_.enabled) {
-    // Paper accounting: every item — duplicates included — is submitted,
-    // as one batch-API group (the adaptive batcher decides the passes).
-    std::vector<std::string> prompts;
-    prompts.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      states[i]->kind = JudgeFuture::State::Kind::kOwner;
-      states[i]->decision.prompt = build_prompt(
-          style_, *batch[i].file, batch[i].compile, batch[i].exec);
-      prompts.push_back(states[i]->decision.prompt);
+  // Submit them as one batch-API group: with a zero wait window they flush
+  // as one forward pass; with a nonzero window the batcher may coalesce
+  // them with other callers' requests into larger cross-worker passes.
+  if (!prompts.empty()) {
+    auto completions = client_->submit_many(prompts, params_with_seed(seed));
+    for (std::size_t m = 0; m < submitted.size(); ++m) {
+      states[submitted[m]]->completion = std::move(completions[m]);
     }
-    auto completions = client_->submit_many(prompts, params);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      states[i]->completion = std::move(completions[i]);
-      futures.push_back(JudgeFuture(std::move(states[i])));
-    }
-    return futures;
   }
 
-  // Classify every item. Keys this batch claims are recorded in
-  // `batch_leader` so a second copy of the same key becomes an in-batch
-  // follower instead of deadlocking on its own in-flight marker. If
-  // anything below throws, the states' destructors abandon every claimed
-  // key, so other threads cannot wait on this batch forever.
-  std::unordered_map<std::uint64_t, std::size_t> batch_leader;
-  std::vector<std::size_t> miss_indices;
-  miss_indices.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    JudgeFuture::State& state = *states[i];
-    const std::uint64_t content_hash =
-        support::fnv1a64(batch[i].file->content);
-    const std::uint64_t key =
-        cache_key(content_hash, *batch[i].file, batch[i].compile,
-                  batch[i].exec, seed);
-    const auto leader = batch_leader.find(key);
-    if (leader != batch_leader.end()) {
-      state.kind = JudgeFuture::State::Kind::kFollower;
-      state.leader = states[leader->second];
+  for (auto& state : states) futures.push_back(JudgeFuture(std::move(state)));
+  return futures;
+}
+
+void Llmj::judge_chunk(const std::vector<JudgeRequest>& chunk,
+                       std::size_t group_size, std::uint64_t seed,
+                       const ChunkCallback& done, obs::Tracer* tracer,
+                       std::uint64_t parent_span) const {
+  // Trace one resolved item, then hand it to the caller.
+  const auto report = [&](std::size_t index, std::uint64_t submit_us,
+                          const JudgeDecision* decision,
+                          const llm::ModelError* error) {
+    obs::ObsSpan span(tracer, obs::SpanKind::kJudge, chunk[index].trace_id,
+                      parent_span);
+    span.set_start_us(submit_us);
+    if (decision == nullptr) {
+      span.set_arg(-1);
+    } else {
+      span.set_arg(static_cast<std::int64_t>(decision->verdict));
+      if (!decision->cached) {
+        span.set_gpu_seconds(decision->completion.latency_seconds);
+        span.set_flow(decision->completion.trace_flow);
+      }
+    }
+    span.end();
+    done(index, decision, error);
+  };
+  const auto resolve = [&](std::size_t index, const JudgeFuture& future,
+                           std::uint64_t submit_us) {
+    JudgeDecision decision;
+    try {
+      decision = future.get();
+    } catch (...) {
+      const llm::ModelError error = as_model_error(std::current_exception());
+      report(index, submit_us, nullptr, &error);
+      return;
+    }
+    report(index, submit_us, &decision, nullptr);
+  };
+
+  struct Pending {
+    std::size_t index = 0;
+    JudgeFuture future;
+    std::uint64_t submit_us = 0;
+  };
+  std::vector<Pending> pending;
+  std::vector<JudgeRequest> group;
+  const std::size_t step = group_size == 0 ? chunk.size() : group_size;
+  for (std::size_t start = 0; start < chunk.size(); start += step) {
+    const std::size_t end = std::min(chunk.size(), start + step);
+    const std::uint64_t submit_us = tracer != nullptr ? support::now_us() : 0;
+    std::vector<JudgeFuture> futures;
+    try {
+      if (group_size == 1) {
+        futures.push_back(evaluate_async(chunk[start], seed));
+      } else {
+        group.assign(chunk.begin() + static_cast<std::ptrdiff_t>(start),
+                     chunk.begin() + static_cast<std::ptrdiff_t>(end));
+        futures = evaluate_async_many(group, seed);
+      }
+    } catch (...) {
+      const llm::ModelError error = as_model_error(std::current_exception());
+      for (std::size_t i = start; i < end; ++i) {
+        report(i, submit_us, nullptr, &error);
+      }
       continue;
     }
-    switch (probe_or_claim(key, content_hash, state.decision)) {
-      case Probe::kHit:
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        state.kind = JudgeFuture::State::Kind::kReady;
-        state.resolved = true;
-        break;
-      case Probe::kBusy:
-        state.kind = JudgeFuture::State::Kind::kPeerWait;
-        state.key = key;
-        state.content_hash = content_hash;
-        state.request = batch[i];
-        break;
-      case Probe::kClaimed:
-        state.kind = JudgeFuture::State::Kind::kOwner;
-        state.key = key;
-        state.content_hash = content_hash;
-        state.publish_on_resolve = true;
-        // Served by the store: published, so a later copy in this batch
-        // hits the memo instead of following this item.
-        if (read_through(key, content_hash, batch[i], state.decision)) {
-          state.kind = JudgeFuture::State::Kind::kReady;
-          state.publish_on_resolve = false;
-          state.resolved = true;
-          break;
-        }
-        batch_leader.emplace(key, i);
-        miss_indices.push_back(i);
-        break;
+    for (std::size_t i = start; i < end; ++i) {
+      JudgeFuture& future = futures[i - start];
+      if (future.ready()) {
+        resolve(i, future, submit_us);
+      } else {
+        pending.push_back(Pending{i, std::move(future), submit_us});
+      }
     }
   }
-
-  // Submit all genuine misses as one batch-API group: with a zero wait
-  // window they flush as one forward pass (the PR 2 shape); with a
-  // nonzero window the batcher may coalesce them with other callers'
-  // misses into larger cross-worker passes.
-  if (!miss_indices.empty()) {
-    std::vector<std::string> prompts;
-    prompts.reserve(miss_indices.size());
-    for (const std::size_t index : miss_indices) {
-      const JudgeRequest& request = batch[index];
-      states[index]->decision.prompt = build_prompt(
-          style_, *request.file, request.compile, request.exec);
-      prompts.push_back(states[index]->decision.prompt);
-    }
-    auto completions = client_->submit_many(prompts, params);
-    misses_.fetch_add(miss_indices.size(), std::memory_order_relaxed);
-    for (std::size_t m = 0; m < miss_indices.size(); ++m) {
-      states[miss_indices[m]]->completion = std::move(completions[m]);
+  // Owned futures first, duplicates of other callers' in-flight keys
+  // second: the owners publish before anyone waits on them.
+  for (const bool peer_pass : {false, true}) {
+    for (const Pending& entry : pending) {
+      if (entry.future.waits_on_peer() == peer_pass) {
+        resolve(entry.index, entry.future, entry.submit_us);
+      }
     }
   }
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    futures.push_back(JudgeFuture(std::move(states[i])));
-  }
-  return futures;
 }
 
 JudgeDecision Llmj::evaluate(const frontend::SourceFile& file,
@@ -629,18 +673,18 @@ JudgeDecision Llmj::evaluate(const frontend::SourceFile& file,
 
 std::vector<JudgeDecision> Llmj::evaluate_many(
     const std::vector<JudgeRequest>& batch, std::uint64_t seed) const {
-  const auto futures = evaluate_async_many(batch, seed);
   std::vector<JudgeDecision> decisions(batch.size());
-  // Drain discipline: resolve everything this batch owns first, then the
-  // duplicates of other callers' in-flight work — two batches holding
-  // duplicates of each other's claims publish before they wait, so they
-  // can never deadlock.
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    if (!futures[i].waits_on_peer()) decisions[i] = futures[i].get();
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    if (futures[i].waits_on_peer()) decisions[i] = futures[i].get();
-  }
+  std::optional<llm::ModelError> failure;
+  judge_chunk(batch, 0, seed,
+              [&](std::size_t index, const JudgeDecision* decision,
+                  const llm::ModelError* error) {
+                if (decision != nullptr) {
+                  decisions[index] = *decision;
+                } else if (!failure) {
+                  failure = *error;
+                }
+              });
+  if (failure) throw *failure;
   return decisions;
 }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -80,15 +81,12 @@ struct JudgeCacheConfig {
 ///   persisted_hits — subset of hits served by the artifact-store tier
 ///     (see JudgeDecision::persisted): a memo miss the store answered, or
 ///     a hit on the memo entry such a read filled.
-///   async_items — items that entered the asynchronous core (everything
-///     does: the blocking entry points wrap evaluate_async[_many]).
 #define LLM4VV_JUDGE_CACHE_STATS(X)                                  \
   X(hits)                                                            \
   X(misses)                                                          \
   X(evictions)                                                       \
   X(duplicate_misses)                                                \
-  X(persisted_hits)                                                  \
-  X(async_items)
+  X(persisted_hits)
 
 /// Counters of the memoization cache (monotonic over the Llmj's lifetime).
 /// hits + misses + duplicate_misses equals the number of items served
@@ -107,6 +105,9 @@ struct JudgeRequest {
   const frontend::SourceFile* file = nullptr;
   const toolchain::CompileResult* compile = nullptr;
   const toolchain::ExecutionRecord* exec = nullptr;
+  /// Trace id of the kJudge span Llmj::judge_chunk records for this item
+  /// (the pipeline's input index + 1, the server's job ordinal).
+  std::uint64_t trace_id = 0;
 };
 
 /// Handle on one asynchronously judged request.
@@ -115,7 +116,9 @@ struct JudgeRequest {
 /// client's adaptive batcher flushes them; duplicates of in-flight work
 /// resolve when the owning caller publishes. get() finalizes the decision
 /// (parsing the verdict and, for claimed misses, publishing into the memo
-/// cache) and is idempotent.
+/// cache) and is idempotent. Llmj::judge_chunk resolves its own futures in
+/// the safe order; only a caller holding raw futures must mind
+/// waits_on_peer().
 ///
 /// Lifetime: the future must not outlive the Llmj that issued it (the
 /// shared state points back into the judge's cache shards). Dropping an
@@ -134,9 +137,9 @@ class JudgeFuture {
   bool ready() const;
   /// True when this future waits on a computation owned by another caller
   /// (a duplicate of in-flight work). Drain such futures AFTER every
-  /// future you own — the blocking wrappers and the pipeline do — so two
-  /// batches holding duplicates of each other's claimed keys resolve the
-  /// owned work first instead of deadlocking.
+  /// future you own — Llmj::judge_chunk does — so two batches holding
+  /// duplicates of each other's claimed keys resolve the owned work first
+  /// instead of deadlocking.
   bool waits_on_peer() const;
   /// Block until resolved and return the decision. Rethrows whatever the
   /// underlying submission failed with. Idempotent and thread-safe.
@@ -160,12 +163,23 @@ class JudgeFuture {
 /// "tools" of Figure 1); the judge assembles the prompt, queries the model
 /// client, and parses the FINAL JUDGEMENT protocol. Thread-safe.
 ///
-/// The asynchronous pair evaluate_async()/evaluate_async_many() is the
-/// core; evaluate()/evaluate_many() are thin submit-and-wait wrappers kept
-/// for convenience and backward compatibility (one code path, byte-
-/// identical decisions).
+/// judge_chunk() is the one path that judges a group of files — the
+/// pipeline's judge stage, the server and evaluate_many() all go through
+/// it. It is built on the asynchronous pair evaluate_async() /
+/// evaluate_async_many(), which share one per-item classifier; evaluate()
+/// is a submit-and-wait wrapper over evaluate_async(). Every entry point
+/// makes byte-identical decisions.
 class Llmj {
  public:
+  /// Per-item outcome handler of judge_chunk(), called on the calling
+  /// thread with the item's index in the chunk and exactly one of its
+  /// decision and the error the judge gave up with: the resilience layer's
+  /// ModelError (kind and attempts preserved), or any other failure as a
+  /// ModelError of kind kOther with no attempts.
+  using ChunkCallback =
+      std::function<void(std::size_t index, const JudgeDecision* decision,
+                         const llm::ModelError* error)>;
+
   Llmj(std::shared_ptr<llm::ModelClient> client, llm::PromptStyle style,
        JudgeCacheConfig cache = {});
 
@@ -176,14 +190,36 @@ class Llmj {
                          const toolchain::ExecutionRecord* exec = nullptr,
                          std::uint64_t seed = 0) const;
 
-  /// Judge a batch of files in one submission (blocking wrapper over
-  /// evaluate_async_many). Decisions come back in request order and are
+  /// Judge a batch of files in one submission group (blocking wrapper over
+  /// judge_chunk). Decisions come back in request order and are
   /// byte-for-byte what evaluate() would have produced per item (only the
   /// latency accounting differs, via the batched pass pricing). With the
   /// cache disabled every item is submitted — including duplicates —
-  /// preserving the paper's one-request-per-file accounting.
+  /// preserving the paper's one-request-per-file accounting. Throws the
+  /// first error the chunk reported, after every item has resolved.
   std::vector<JudgeDecision> evaluate_many(
       const std::vector<JudgeRequest>& batch, std::uint64_t seed = 0) const;
+
+  /// Judge a chunk of requests on the calling thread. `group_size` 1
+  /// submits each request on its own (evaluate_async: plain submissions,
+  /// never counted in ClientStats::batches); any other value submits
+  /// evaluate_async_many groups of that size, 0 meaning the whole chunk as
+  /// one group. Every future already ready() right after its group's
+  /// submission resolves at once, so at window 0 each group resolves and
+  /// publishes before the next is probed; resolving a ready future neither
+  /// waits on the batcher nor submits, so no pass forms differently. After
+  /// the last group the rest drain, owned futures before waits_on_peer()
+  /// ones, so callers holding duplicates of each other's claims cannot
+  /// deadlock. With a tracer, each item gets one kJudge span
+  /// (JudgeRequest::trace_id, parent `parent_span`) from its group's
+  /// submission to its resolution: arg the verdict or -1 on error, plus
+  /// the simulated GPU seconds and the serving flush's flow id when
+  /// uncached. `done` then runs once per item, in resolution order; a
+  /// submission that throws fails every item of its group.
+  void judge_chunk(const std::vector<JudgeRequest>& chunk,
+                   std::size_t group_size, std::uint64_t seed,
+                   const ChunkCallback& done, obs::Tracer* tracer = nullptr,
+                   std::uint64_t parent_span = 0) const;
 
   /// Judge a file asynchronously. A cache hit resolves immediately; a miss
   /// is submitted to the model client's adaptive batcher (sequential
@@ -199,7 +235,8 @@ class Llmj {
   /// genuine misses — which are handed to the client as one submit_many
   /// group, so the adaptive batcher can coalesce them with other callers'
   /// misses into shared forward passes. Futures come back in request
-  /// order. Drain discipline: get() the non-waits_on_peer() futures first.
+  /// order. A caller draining them itself must get() the
+  /// non-waits_on_peer() futures first; judge_chunk() does this.
   std::vector<JudgeFuture> evaluate_async_many(
       const std::vector<JudgeRequest>& batch, std::uint64_t seed = 0) const;
 
@@ -274,6 +311,24 @@ class Llmj {
                           const toolchain::ExecutionRecord* exec,
                           std::uint64_t seed) const noexcept;
 
+  /// In-batch claims of evaluate_async_many: key → the state that owns it.
+  using Leaders =
+      std::unordered_map<std::uint64_t, std::shared_ptr<JudgeFuture::State>>;
+
+  /// The per-item classifier both evaluate_async entry points share. Fills
+  /// `state` as a memo hit, a copy of a key this batch already claimed
+  /// (`leaders`, null for a lone request), a peer wait on another caller's
+  /// claim, or a claimed key for claim_miss(); with the memo off, always
+  /// an owner. True when the caller must submit state.decision.prompt.
+  bool classify(const JudgeRequest& request,
+                const std::shared_ptr<JudgeFuture::State>& state,
+                Leaders* leaders) const;
+  /// The claimed-key branch, shared by classify() and wait_for()'s
+  /// takeover: serve the key from the store (the state resolves at once),
+  /// else count a miss and build the prompt. True when the caller must
+  /// submit state.decision.prompt.
+  bool claim_miss(const JudgeRequest& request, JudgeFuture::State& state) const;
+
   Probe probe_or_claim(std::uint64_t key, std::uint64_t content_hash,
                        JudgeDecision& out) const;
   /// True when the key has a published cache entry (readiness probe for
@@ -294,11 +349,6 @@ class Llmj {
   JudgeDecision wait_for(std::uint64_t key, std::uint64_t content_hash,
                          const JudgeRequest& request,
                          std::uint64_t seed) const;
-
-  JudgeDecision evaluate_uncached(const frontend::SourceFile& file,
-                                  const toolchain::CompileResult* compile,
-                                  const toolchain::ExecutionRecord* exec,
-                                  std::uint64_t seed) const;
 
   std::shared_ptr<llm::ModelClient> client_;
   llm::PromptStyle style_;

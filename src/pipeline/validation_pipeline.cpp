@@ -72,7 +72,7 @@ ValidationPipeline::ValidationPipeline(
   if (config_.judge_batch_size == 0) {
     throw std::invalid_argument(
         "ValidationPipeline: PipelineConfig::judge_batch_size must be >= 1 "
-        "(1 = sequential per-item judging); 0 is not a valid batch size");
+        "(1 = per-item submission); 0 is not a valid batch size");
   }
   if (config_.compile_workers == 0) config_.compile_workers = 1;
   if (config_.execute_workers == 0) config_.execute_workers = 1;
@@ -252,186 +252,70 @@ PipelineResult ValidationPipeline::run(
     });
   }
 
-  // Stage 3: agent-based LLMJ, submit-then-drain. With judge_batch_size >
-  // 1 the worker slices each popped chunk into submission groups and
-  // submits every group asynchronously before draining any future: cache
-  // misses enter the client's adaptive batcher together, and while this
-  // worker blocks on its first decision other workers keep submitting —
-  // so with a nonzero batcher window, cross-worker batches form naturally
-  // instead of being limited to per-worker chunks.
-  const std::size_t judge_batch = config_.judge_batch_size;
+  // Stage 3: agent-based LLMJ. Each popped chunk goes through
+  // Llmj::judge_chunk in groups of judge_batch_size: every group is
+  // submitted before the worker waits on any decision, so with a nonzero
+  // batcher window the misses of several workers coalesce into shared
+  // passes.
   for (std::size_t w = 0; w < config_.judge_workers; ++w) {
     workers.emplace_back([&, w] {
       JudgeLocal local;
-      const auto record_decision = [&](const WorkItem& item,
-                                       const judge::JudgeDecision& decision) {
-        PipelineRecord& record = result.records[item.index];
-        record.judged = true;
-        record.verdict = decision.verdict;
-        record.judge_says_valid = decision.says_valid;
-        record.judge_cached = decision.cached;
-        record.judge_persisted = decision.persisted;
-        ++local.stats.processed;
-        if (!decision.says_valid) ++local.stats.rejected;
-        if (decision.persisted) ++local.persisted_hits;
-        if (decision.cached) {
-          ++local.cache_hits;
-        } else {
-          ++local.cache_misses;
-          record.judge_attempts = decision.completion.attempts;
-          record.judge_gpu_seconds = decision.completion.latency_seconds;
-          local.gpu_seconds += decision.completion.latency_seconds;
-        }
-      };
-      // Graceful degradation: a judge failure that survived the client's
-      // retry budget becomes a recorded outcome — kind and attempt count
-      // preserved — instead of a dropped record or a worker-killing throw.
-      const auto record_error = [&](const WorkItem& item,
-                                    const std::exception_ptr& error) {
-        PipelineRecord& record = result.records[item.index];
-        record.judge_error = true;
-        try {
-          std::rethrow_exception(error);
-        } catch (const llm::ModelError& e) {
-          record.judge_error_kind = e.kind();
-          record.judge_attempts = e.attempts();
-        } catch (...) {
-          record.judge_error_kind = llm::FailureKind::kOther;
-        }
-        ++local.stats.processed;
-        ++local.errors;
-      };
-      /// One submitted-but-not-drained chunk item.
-      struct PendingJudge {
-        const WorkItem* item = nullptr;
-        judge::JudgeFuture future;
-        judge::JudgeDecision decision;
-        std::exception_ptr error;  ///< the judge gave up on this item
-        std::uint64_t submit_us = 0;  ///< judge-span start (tracing only)
-      };
-      // Judge span: submission to drain, stamped when the future resolves.
-      // Uncached decisions carry the simulated GPU cost and the flow id of
-      // the serving batcher flush, so exporters can link each request back
-      // to the forward pass that served it.
-      const auto trace_judge = [&](const PendingJudge& entry) {
-        if (tracer == nullptr) return;
-        obs::ObsSpan span(tracer, obs::SpanKind::kJudge,
-                          entry.item->index + 1, run_span_id);
-        span.set_start_us(entry.submit_us);
-        if (entry.error != nullptr) {
-          span.set_arg(-1);
-        } else {
-          span.set_arg(static_cast<std::int64_t>(entry.decision.verdict));
-          if (!entry.decision.cached) {
-            span.set_gpu_seconds(entry.decision.completion.latency_seconds);
-            span.set_flow(entry.decision.completion.trace_flow);
-          }
-        }
-      };
       std::vector<WorkItem> batch;
       std::vector<judge::JudgeRequest> requests;
-      std::vector<PendingJudge> pending;
       batch.reserve(kStageBatch);
-      requests.reserve(judge_batch);
-      pending.reserve(kStageBatch);
+      requests.reserve(kStageBatch);
+      const judge::Llmj::ChunkCallback record_outcome =
+          [&](std::size_t i, const judge::JudgeDecision* decision,
+              const llm::ModelError* error) {
+            PipelineRecord& record = result.records[batch[i].index];
+            ++local.stats.processed;
+            if (error != nullptr) {
+              // Graceful degradation: a judge failure that survived the
+              // client's retry budget becomes a recorded outcome — kind and
+              // attempt count preserved — instead of a dropped record or a
+              // worker-killing throw.
+              record.judge_error = true;
+              record.judge_error_kind = error->kind();
+              record.judge_attempts = error->attempts();
+              ++local.errors;
+              return;
+            }
+            record.judged = true;
+            record.verdict = decision->verdict;
+            record.judge_says_valid = decision->says_valid;
+            record.judge_cached = decision->cached;
+            record.judge_persisted = decision->persisted;
+            if (!decision->says_valid) ++local.stats.rejected;
+            if (decision->persisted) ++local.persisted_hits;
+            if (decision->cached) {
+              ++local.cache_hits;
+            } else {
+              ++local.cache_misses;
+              record.judge_attempts = decision->completion.attempts;
+              record.judge_gpu_seconds = decision->completion.latency_seconds;
+              local.gpu_seconds += decision->completion.latency_seconds;
+            }
+          };
       for (;;) {
         batch.clear();
         if (judge_queue.pop_up_to(kStageBatch, batch) == 0) break;
-        if (tracer != nullptr) {
-          // Residency in the judge queue: enqueue to chunk pickup.
-          for (const WorkItem& item : batch) {
-            if (item.queued_us == 0) continue;
+        requests.clear();
+        for (const WorkItem& item : batch) {
+          if (tracer != nullptr && item.queued_us != 0) {
+            // Residency in the judge queue: enqueue to chunk pickup.
             obs::ObsSpan wait(tracer, obs::SpanKind::kQueueWait,
                               item.index + 1, run_span_id);
             wait.set_start_us(item.queued_us);
             wait.set_arg(2);
           }
-        }
-        if (judge_batch <= 1) {
-          // Sequential per-item path: the paper's one-call-per-file
-          // accounting (each call is its own immediate flush when the
-          // batcher window is pinned to 0).
-          for (const WorkItem& item : batch) {
-            support::Stopwatch timer;
-            obs::ObsSpan span(tracer, obs::SpanKind::kJudge, item.index + 1,
-                              run_span_id);
-            try {
-              const judge::JudgeDecision decision =
-                  judge_->evaluate(files[item.index], &item.compile,
-                                   &item.exec, config_.judge_seed);
-              span.set_arg(static_cast<std::int64_t>(decision.verdict));
-              if (!decision.cached) {
-                span.set_gpu_seconds(decision.completion.latency_seconds);
-                span.set_flow(decision.completion.trace_flow);
-              }
-              span.end();
-              local.stats.busy_seconds += timer.seconds();
-              record_decision(item, decision);
-            } catch (...) {
-              span.set_arg(-1);
-              span.end();
-              local.stats.busy_seconds += timer.seconds();
-              record_error(item, std::current_exception());
-            }
-          }
-          continue;
+          requests.push_back(judge::JudgeRequest{
+              &files[item.index], &item.compile, &item.exec, item.index + 1});
         }
         support::Stopwatch timer;
-        // Submit every group of the chunk first...
-        pending.clear();
-        for (std::size_t start = 0; start < batch.size();
-             start += judge_batch) {
-          const std::size_t end =
-              std::min(batch.size(), start + judge_batch);
-          requests.clear();
-          for (std::size_t i = start; i < end; ++i) {
-            requests.push_back(judge::JudgeRequest{
-                &files[batch[i].index], &batch[i].compile, &batch[i].exec});
-          }
-          const std::uint64_t group_submit_us =
-              tracer != nullptr ? support::now_us() : 0;
-          auto futures =
-              judge_->evaluate_async_many(requests, config_.judge_seed);
-          for (std::size_t i = start; i < end; ++i) {
-            PendingJudge entry;
-            entry.item = &batch[i];
-            entry.future = std::move(futures[i - start]);
-            entry.submit_us = group_submit_us;
-            pending.push_back(std::move(entry));
-          }
-        }
-        // ...then drain: futures this worker owns first, duplicates of
-        // other workers' in-flight keys second — the owners publish before
-        // anyone waits, so two workers holding duplicates of each other's
-        // claims cannot deadlock.
-        for (PendingJudge& entry : pending) {
-          if (!entry.future.waits_on_peer()) {
-            try {
-              entry.decision = entry.future.get();
-            } catch (...) {
-              entry.error = std::current_exception();
-            }
-            trace_judge(entry);
-          }
-        }
-        for (PendingJudge& entry : pending) {
-          if (entry.future.waits_on_peer()) {
-            try {
-              entry.decision = entry.future.get();
-            } catch (...) {
-              entry.error = std::current_exception();
-            }
-            trace_judge(entry);
-          }
-        }
+        judge_->judge_chunk(requests, config_.judge_batch_size,
+                            config_.judge_seed, record_outcome, tracer,
+                            run_span_id);
         local.stats.busy_seconds += timer.seconds();
-        for (const PendingJudge& entry : pending) {
-          if (entry.error != nullptr) {
-            record_error(*entry.item, entry.error);
-          } else {
-            record_decision(*entry.item, entry.decision);
-          }
-        }
       }
       judge_locals[w] = local;
     });

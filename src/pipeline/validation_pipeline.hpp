@@ -32,18 +32,20 @@ struct PipelineConfig {
   std::size_t judge_workers = 1;
   std::size_t queue_capacity = 128;
   std::uint64_t judge_seed = 0;
-  /// Items a judge worker submits to Llmj::evaluate_async_many per group:
-  /// cache misses inside such a group enter the model client's adaptive
-  /// batcher together, and — with the batcher's wait window pinned to 0 —
-  /// go to the model as one batched forward pass that amortizes prefill.
-  /// With a nonzero window the batcher may further coalesce groups from
-  /// different judge workers into shared cross-worker passes. 1 selects
-  /// the sequential per-item path — the paper's one-call-per-file
-  /// accounting, which the core/ experiments pin to keep their simulated
-  /// GPU totals seed-exact. 0 is invalid: the pipeline constructor rejects
-  /// it instead of silently misbehaving. Effective group sizes are also
-  /// bounded by how many items a queue pop returns, so a group can hold
-  /// fewer items than this on a draining queue.
+  /// Items per submission group when a judge worker hands its popped
+  /// chunk to Llmj::judge_chunk: cache misses inside a group enter the
+  /// model client's adaptive batcher together as one batch-API call, and
+  /// — with the batcher's wait window pinned to 0 — go to the model as one
+  /// batched forward pass that amortizes prefill. With a nonzero window
+  /// the batcher may further coalesce groups from different judge workers
+  /// into shared cross-worker passes. 1 submits each item on its own (a
+  /// plain submission, so ClientStats::batches stays 0): at window 0 that
+  /// is the paper's one-call-per-file accounting, which the core/
+  /// experiments pin to keep their simulated GPU totals seed-exact. 0 is
+  /// invalid: the pipeline constructor rejects it instead of silently
+  /// misbehaving. Effective group sizes are also bounded by how many items
+  /// a queue pop returns, so a group can hold fewer items than this on a
+  /// draining queue.
   std::size_t judge_batch_size = 8;
   /// Items a worker moves per queue round-trip (pop_up_to / push_all).
   /// Batching amortizes the queue lock over several items; kept small so
@@ -212,7 +214,7 @@ struct PipelineResult {
 class ValidationPipeline {
  public:
   /// Throws std::invalid_argument on a null judge or a config with
-  /// judge_batch_size == 0 (use 1 for sequential per-item judging).
+  /// judge_batch_size == 0 (use 1 for per-item submission).
   ValidationPipeline(toolchain::CompilerDriver compiler,
                      toolchain::Executor executor,
                      std::shared_ptr<const judge::Llmj> judge,

@@ -656,6 +656,8 @@ void Server::Impl::process_batch(std::vector<ServeJob>& batch) {
     toolchain::ExecutionRecord exec;
   };
   std::vector<StageWork> work(batch.size());
+  std::vector<judge::JudgeRequest> requests;
+  requests.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     {
       obs::ObsSpan span(tracer, obs::SpanKind::kQueueWait, batch[i].seq);
@@ -672,55 +674,37 @@ void Server::Impl::process_batch(std::vector<ServeJob>& batch) {
       work[i].exec = executor.run(work[i].compile.module);
       span.set_arg(work[i].exec.passed() ? 1 : 0);
     }
-  }
-  std::vector<judge::JudgeRequest> requests;
-  requests.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
     requests.push_back(judge::JudgeRequest{&batch[i].file, &work[i].compile,
-                                           &work[i].exec});
+                                           &work[i].exec, batch[i].seq});
   }
-  const auto futures =
-      judge->evaluate_async_many(requests, config.judge_seed);
-  // Drain discipline (judge/judge.hpp): resolve owned futures before
-  // peer-waiting duplicates so concurrent batches can never deadlock on
-  // each other's claimed keys.
-  for (const bool peer_pass : {false, true}) {
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      if (futures[i].waits_on_peer() != peer_pass) continue;
-      obs::ObsSpan span(tracer, obs::SpanKind::kJudge, batch[i].seq);
-      std::string line;
-      bool ok = true;
-      try {
-        const judge::JudgeDecision decision = futures[i].get();
-        span.set_arg(static_cast<std::int64_t>(decision.verdict));
-        double gpu_seconds = 0.0;
-        if (!decision.cached) {
-          gpu_seconds = decision.completion.latency_seconds;
-          span.set_gpu_seconds(gpu_seconds);
-          span.set_flow(decision.completion.trace_flow);
+  // One submission group per popped batch (group size 0), answered job by
+  // job as each decision resolves.
+  judge->judge_chunk(
+      requests, 0, config.judge_seed,
+      [&](std::size_t i, const judge::JudgeDecision* decision,
+          const llm::ModelError* error) {
+        const std::uint64_t latency_us =
+            support::now_us() - batch[i].submitted_us;
+        if (error != nullptr) {
+          finish_job(batch[i], false,
+                     encode_error(batch[i].request_id,
+                                  std::string(llm::failure_kind_name(
+                                      error->kind())) +
+                                      ": " + error->what(),
+                                  latency_us));
+          return;
         }
-        line = encode_verdict(
-            batch[i].request_id, judge::verdict_name(decision.verdict),
-            decision.says_valid, work[i].compile.success,
-            work[i].exec.passed(), decision.cached, gpu_seconds,
-            support::now_us() - batch[i].submitted_us);
-      } catch (const llm::ModelError& e) {
-        span.set_arg(-1);
-        ok = false;
-        line = encode_error(
-            batch[i].request_id,
-            std::string(llm::failure_kind_name(e.kind())) + ": " + e.what(),
-            support::now_us() - batch[i].submitted_us);
-      } catch (const std::exception& e) {
-        span.set_arg(-1);
-        ok = false;
-        line = encode_error(batch[i].request_id, e.what(),
-                            support::now_us() - batch[i].submitted_us);
-      }
-      span.end();
-      finish_job(batch[i], ok, line);
-    }
-  }
+        finish_job(batch[i], true,
+                   encode_verdict(
+                       batch[i].request_id,
+                       judge::verdict_name(decision->verdict),
+                       decision->says_valid, work[i].compile.success,
+                       work[i].exec.passed(), decision->cached,
+                       decision->cached ? 0.0
+                                        : decision->completion.latency_seconds,
+                       latency_us));
+      },
+      tracer);
 }
 
 void Server::Impl::finish_job(const ServeJob& job, bool ok,

@@ -25,10 +25,11 @@ class Tracer;
 /// admits submits through the TenantTable, and enqueues accepted jobs on
 /// the FairScheduler. Dispatcher workers pop weighted-fair job batches,
 /// run compile → execute inline (both stages are thread-safe const calls)
-/// and judge through the async futures API — so misses from all workers
-/// coalesce in the model client's central adaptive batcher — then append
-/// the terminal response line to the owning connection's output buffer
-/// and wake the IO thread to flush it.
+/// and judge each batch as one group through Llmj::judge_chunk — so
+/// misses from all workers coalesce in the model client's central
+/// adaptive batcher — then, as each decision or error resolves, append
+/// that job's terminal response line to the owning connection's output
+/// buffer and wake the IO thread to flush it.
 ///
 /// Graceful drain (request_drain(), or a client "shutdown" op): stop
 /// accepting connections and submits (late submits shed as "draining"),

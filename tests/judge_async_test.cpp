@@ -1,7 +1,8 @@
 // Asynchronous judge coverage: JudgeFuture resolution across batcher
-// configurations (byte-equivalence with the blocking path), immediate
-// cache-hit resolution, in-flight dedup through futures, dropped-future
-// claim abandonment, and the popped-chunk vs formed-batch occupancy split.
+// configurations (byte-equivalence with the blocking path), judge_chunk's
+// failure reporting, immediate cache-hit resolution, in-flight dedup
+// through futures, dropped-future claim abandonment, and the popped-chunk
+// vs formed-batch occupancy split.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -43,27 +44,15 @@ void expect_same_decision(const JudgeDecision& a, const JudgeDecision& b) {
   EXPECT_EQ(a.completion.completion_tokens, b.completion.completion_tokens);
 }
 
-/// Drain futures with the documented discipline: owned work first, then
-/// duplicates of other callers' in-flight keys.
-std::vector<JudgeDecision> drain(const std::vector<JudgeFuture>& futures) {
-  std::vector<JudgeDecision> decisions(futures.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    if (!futures[i].waits_on_peer()) decisions[i] = futures[i].get();
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    if (futures[i].waits_on_peer()) decisions[i] = futures[i].get();
-  }
-  return decisions;
-}
-
 // ---------------------------------------------------------------------------
 // Byte-equivalence across batcher configurations (acceptance criterion)
 // ---------------------------------------------------------------------------
 
 TEST(JudgeAsyncTest, AsyncDecisionsByteIdenticalToSequentialForAnyNT) {
-  // A request set with duplicates, judged via evaluate_async_many under a
-  // sweep of (max_batch, window) configs: every decision must be
-  // byte-identical to the sequential blocking evaluate() reference.
+  // A request set with duplicates, judged as one chunk (evaluate_many →
+  // judge_chunk → evaluate_async_many) under a sweep of (max_batch,
+  // window) configs: every decision must be byte-identical to the
+  // sequential blocking evaluate() reference.
   std::vector<frontend::SourceFile> files;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     files.push_back(sample_file(seed));
@@ -104,7 +93,7 @@ TEST(JudgeAsyncTest, AsyncDecisionsByteIdenticalToSequentialForAnyNT) {
       for (std::size_t i = 0; i < files.size(); ++i) {
         requests.push_back(JudgeRequest{&files[i], &compiles[i], &execs[i]});
       }
-      const auto decisions = drain(judge.evaluate_async_many(requests, 9));
+      const auto decisions = judge.evaluate_many(requests, 9);
       ASSERT_EQ(decisions.size(), reference.size());
       for (std::size_t i = 0; i < decisions.size(); ++i) {
         SCOPED_TRACE("config N=" + std::to_string(config.max_batch) +
@@ -128,6 +117,35 @@ TEST(JudgeAsyncTest, SingleAsyncMatchesBlockingEvaluate) {
   expect_same_decision(async_decision, blocking_decision);
   EXPECT_DOUBLE_EQ(async_decision.completion.latency_seconds,
                    blocking_decision.completion.latency_seconds);
+}
+
+TEST(JudgeAsyncTest, JudgeChunkFailsEveryItemOfAGroupWhoseSubmissionThrew) {
+  // An agent-style request without its compile/exec records cannot build
+  // a prompt, so the submission of its group throws: every item of that
+  // group is reported failed (kind kOther, once), and the other group is
+  // judged as usual.
+  const Llmj judge(make_client(), llm::PromptStyle::kAgentDirect);
+  const auto driver = testutil::clean_driver(Flavor::kOpenACC);
+  const toolchain::Executor executor;
+  const auto file = sample_file(50);
+  const auto compiled = driver.compile(file);
+  const auto ran = executor.run(compiled.module);
+  const auto bare = sample_file(51);
+  const std::vector<JudgeRequest> chunk = {JudgeRequest{&file, &compiled, &ran},
+                                           JudgeRequest{&file, &compiled, &ran},
+                                           JudgeRequest{&bare},
+                                           JudgeRequest{&file, &compiled, &ran}};
+  std::vector<int> outcome(chunk.size(), 0);  // 1 = decision, 2 = error
+  judge.judge_chunk(chunk, 2, 0,
+                    [&](std::size_t i, const JudgeDecision* decision,
+                        const llm::ModelError* error) {
+                      EXPECT_EQ(outcome[i], 0) << "item " << i;
+                      outcome[i] = decision != nullptr ? 1 : 2;
+                      if (error != nullptr) {
+                        EXPECT_EQ(error->kind(), llm::FailureKind::kOther);
+                      }
+                    });
+  EXPECT_EQ(outcome, (std::vector<int>{1, 1, 2, 2}));
 }
 
 // ---------------------------------------------------------------------------
@@ -156,8 +174,8 @@ TEST(JudgeAsyncTest, CacheHitResolvesAtSubmissionTime) {
   EXPECT_EQ(client->stats().requests, requests_before);  // no model call
 
   const auto stats = judge.cache_stats();
-  EXPECT_GE(stats.hits, 1u);
-  EXPECT_GE(stats.async_items, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST(JudgeAsyncTest, MissResolvesAtFlush) {

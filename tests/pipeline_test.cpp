@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/experiments.hpp"
 #include "corpus/generator.hpp"
 #include "pipeline/validation_pipeline.hpp"
@@ -250,9 +252,9 @@ TEST(PipelineTest, CacheCountersZeroWhenJudgeCacheDisabled) {
   }
 }
 
-ValidationPipeline make_batched_pipeline(std::size_t judge_batch_size,
-                                         std::shared_ptr<llm::ModelClient>
-                                             client) {
+ValidationPipeline make_batched_pipeline(
+    std::size_t judge_batch_size, std::shared_ptr<llm::ModelClient> client,
+    std::shared_ptr<obs::Tracer> trace = nullptr) {
   // Cache off so every judged file is a genuine model submission: the GPU
   // accounting then isolates the batched pass pricing. Many producer
   // workers feed one judge worker, so the judge queue accumulates and the
@@ -267,6 +269,7 @@ ValidationPipeline make_batched_pipeline(std::size_t judge_batch_size,
   config.execute_workers = 4;
   config.judge_workers = 1;
   config.judge_batch_size = judge_batch_size;
+  config.trace = std::move(trace);
   return ValidationPipeline(testutil::clean_driver(Flavor::kOpenACC),
                             toolchain::Executor(), judge, config);
 }
@@ -313,6 +316,56 @@ TEST(PipelineTest, BatchedJudgingFillsBatchesAndSavesGpuSeconds) {
   // GPU seconds than one call per file.
   EXPECT_LT(batched.judge_gpu_seconds, sequential.judge_gpu_seconds * 0.8);
   EXPECT_GT(batched.judge_gpu_seconds, 0.0);
+}
+
+TEST(PipelineTest, EachJudgeSpanCoversOnlyItsOwnFlush) {
+  // A judge span runs from its item's submission to its resolution. With
+  // a zero window every group flushes when it is submitted and resolves
+  // at once, so each span must hold the flush its flow id names and no
+  // other group's. One judge worker fed by four producers pops chunks of
+  // up to 16 files, so batch 8 puts two groups in a chunk.
+  const auto files = files_of(probed_batch(8, 60));
+  for (const std::size_t judge_batch : {1, 8}) {
+    SCOPED_TRACE("judge_batch_size " + std::to_string(judge_batch));
+    auto tracer = std::make_shared<obs::Tracer>();
+    auto client = core::make_simulated_client(4);
+    client->set_tracer(tracer);
+    const auto result =
+        make_batched_pipeline(judge_batch, client, tracer).run(files);
+    ASSERT_EQ(result.judge_stage.processed, files.size());
+    const auto events = tracer->collect();
+    ASSERT_EQ(tracer->dropped(), 0u);
+
+    std::map<std::uint64_t, obs::TraceEvent> flushes;  // by span id
+    for (const auto& event : events) {
+      if (event.kind == obs::SpanKind::kFlush) {
+        flushes.emplace(event.span_id, event);
+      }
+    }
+    const auto inside = [](const obs::TraceEvent& inner,
+                           const obs::TraceEvent& outer) {
+      return inner.start_us >= outer.start_us && inner.end_us <= outer.end_us;
+    };
+    std::map<std::uint64_t, std::size_t> judge_spans;  // per trace id
+    for (const auto& event : events) {
+      if (event.kind != obs::SpanKind::kJudge) continue;
+      const std::uint64_t file = event.trace_id - 1;
+      ++judge_spans[event.trace_id];
+      const auto own = flushes.find(event.flow_id);
+      ASSERT_NE(own, flushes.end()) << "file " << file;
+      EXPECT_TRUE(inside(own->second, event)) << "file " << file;
+      for (const auto& [id, flush] : flushes) {
+        if (id != event.flow_id) {
+          EXPECT_FALSE(inside(flush, event))
+              << "file " << file << " holds flush " << id;
+        }
+      }
+    }
+    EXPECT_EQ(judge_spans.size(), files.size());
+    for (const auto& [trace, count] : judge_spans) {
+      EXPECT_EQ(count, 1u) << "file " << trace - 1;
+    }
+  }
 }
 
 TEST(PipelineTest, JudgeBatchSizeZeroIsRejectedAtConstruction) {

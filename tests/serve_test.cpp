@@ -16,7 +16,10 @@
 #include "core/experiments.hpp"
 #include "corpus/generator.hpp"
 #include "judge/judge.hpp"
+#include "llm/coder_model.hpp"
 #include "obs/registry.hpp"
+#include "pipeline/validation_pipeline.hpp"
+#include "probing/prober.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
@@ -24,6 +27,7 @@
 #include "serve/tenancy.hpp"
 #include "toolchain/compiler.hpp"
 #include "toolchain/executor.hpp"
+#include "tests/test_util.hpp"
 
 namespace llm4vv::serve {
 namespace {
@@ -277,10 +281,12 @@ struct ServerHarness {
   std::shared_ptr<const judge::Llmj> judge;
   std::unique_ptr<Server> server;
 
+  /// `client` defaults to a simulated one with `batcher`.
   explicit ServerHarness(ServerConfig config = {},
                          judge::JudgeCacheConfig cache = {},
-                         llm::BatcherConfig batcher = {}) {
-    auto client = core::make_simulated_client(2, batcher);
+                         llm::BatcherConfig batcher = {},
+                         std::shared_ptr<llm::ModelClient> client = nullptr) {
+    if (client == nullptr) client = core::make_simulated_client(2, batcher);
     judge = std::make_shared<const judge::Llmj>(
         client, llm::PromptStyle::kAgentDirect, cache);
     config.registry = registry;
@@ -478,6 +484,61 @@ TEST(ServeServerTest, IdleServerAnswersALoneJobLongBeforeTheWindow) {
   EXPECT_EQ(harness.server->stats().orphaned_responses, 0u);
 }
 
+TEST(ServeServerTest, JudgeErrorsAnswerEachJobWithOneErrorFrame) {
+  // Every forward pass fails permanently and the client makes one attempt,
+  // so each accepted job must end in exactly one error frame that names
+  // the failure kind, and the tenant's accounting must still balance.
+  llm::FaultPlanConfig plan;
+  plan.permanent_rate = 1.0;
+  llm::CoderModelConfig model_config;
+  model_config.faults = std::make_shared<llm::FaultPlan>(plan);
+  llm::RetryPolicy one_attempt;
+  one_attempt.max_attempts = 1;
+  auto failing = std::make_shared<llm::ModelClient>(
+      std::make_shared<const llm::SimulatedCoderModel>(model_config), 2,
+      /*transcript_capacity=*/0, llm::BatcherConfig{}, one_attempt);
+  ServerConfig config;
+  config.workers = 2;
+  config.job_batch = 4;
+  ServerHarness harness(config, {}, {}, failing);
+
+  constexpr std::uint64_t kJobs = 6;
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", harness.server->port(), "t"))
+      << client.last_error();
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    ASSERT_TRUE(client.send_submit(id, sample_file(id)));
+  }
+  std::map<std::uint64_t, int> errors;
+  for (std::uint64_t n = 0; n < kJobs; ++n) {
+    const auto response = client.next_response(30000);
+    ASSERT_TRUE(response.has_value()) << client.last_error();
+    ASSERT_EQ(response->type, ResponseType::kError);
+    ASSERT_TRUE(response->has_id);
+    EXPECT_EQ(response->reason.rfind("permanent:", 0), 0u) << response->reason;
+    errors[response->id] += 1;
+  }
+  harness.server->request_drain();
+  bool saw_bye = false;
+  for (;;) {
+    const auto response = client.next_response(30000);
+    if (!response.has_value()) break;  // EOF after the drain completes
+    if (response->type == ResponseType::kBye) saw_bye = true;
+    EXPECT_FALSE(response->terminal()) << "second answer for " << response->id;
+  }
+  harness.server->wait();
+  EXPECT_TRUE(saw_bye);
+  ASSERT_EQ(errors.size(), kJobs);
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    EXPECT_EQ(errors[id], 1) << "job " << id;
+  }
+  const TenantStats stats = harness.server->tenants().stats("t");
+  EXPECT_EQ(stats.accepted, kJobs);
+  EXPECT_EQ(stats.completed_error, kJobs);
+  EXPECT_EQ(stats.completed_ok, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
+}
+
 TEST(ServeServerTest, ShutdownOpDrainsFromTheWire) {
   ServerHarness harness;
   Client client;
@@ -527,6 +588,92 @@ TEST(ServeServerTest, RegistryProbesAppearAndUnregisterWithTheServer) {
   for (const auto& sample : registry->snapshot()) {
     EXPECT_NE(sample.name.rfind("serve.", 0), 0u)
         << "leaked probe: " << sample.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential: serving against the sequential paper-mode oracle
+
+TEST(ServeDifferentialTest, EveryJobMatchesTheSequentialPipelineOracle) {
+  // Every Part Two probing class plus byte-identical repeats, served over
+  // loopback in two (workers, job_batch, window_us) shapes with the judge
+  // memo off and on. Batching, windows and the memo are optimizations, so
+  // each job must get the outcome of its sequential paper-mode record: 1
+  // worker per stage, judge batch 1, window 0, caches off.
+  probing::ProbingConfig probe;
+  probe.issue_counts = {4, 4, 4, 4, 4, 6};
+  probe.seed = 31;
+  const auto probed = probing::probe_suite(
+      corpus::generate_suite(
+          testutil::corpus_config(frontend::Flavor::kOpenACC, 64, 707)),
+      probe);
+  std::vector<frontend::SourceFile> files;
+  for (std::size_t i = 0; i < probed.files.size(); ++i) {
+    files.push_back(probed.files[i].file);
+    if (i % 4 == 3) files.push_back(probed.files[i - 3].file);  // a repeat
+  }
+
+  judge::JudgeCacheConfig memo_off;
+  memo_off.enabled = false;
+  pipeline::PipelineConfig paper;
+  paper.mode = pipeline::PipelineMode::kRecordAll;
+  paper.judge_batch_size = 1;
+  const pipeline::ValidationPipeline oracle(
+      toolchain::CompilerDriver(toolchain::nvc_persona()),
+      toolchain::Executor(),
+      std::make_shared<const judge::Llmj>(core::make_simulated_client(1),
+                                          llm::PromptStyle::kAgentDirect,
+                                          memo_off),
+      paper);
+  const auto expected = oracle.run(files);
+
+  struct Shape {
+    std::size_t workers;
+    std::size_t job_batch;
+    std::uint64_t window_us;
+  };
+  for (const Shape shape : {Shape{1, 1, 0}, Shape{2, 8, 300}}) {
+    for (const bool memo : {false, true}) {
+      SCOPED_TRACE("workers " + std::to_string(shape.workers) +
+                   " job_batch " + std::to_string(shape.job_batch) +
+                   " window_us " + std::to_string(shape.window_us) +
+                   " memo " + std::to_string(memo));
+      ServerConfig config;
+      config.workers = shape.workers;
+      config.job_batch = shape.job_batch;
+      judge::JudgeCacheConfig cache;
+      cache.enabled = memo;
+      llm::BatcherConfig batcher;
+      batcher.max_batch = shape.window_us > 0 ? 8 : 0;
+      batcher.window_us = shape.window_us;
+      ServerHarness harness(config, cache, batcher);
+
+      Client client;
+      ASSERT_TRUE(client.connect("127.0.0.1", harness.server->port(), "t"))
+          << client.last_error();
+      for (std::size_t i = 0; i < files.size(); ++i) {
+        ASSERT_TRUE(client.send_submit(i + 1, files[i]));
+      }
+      std::map<std::uint64_t, Response> answers;  // by job id
+      while (answers.size() < files.size()) {
+        const auto response = client.next_response(30000);
+        ASSERT_TRUE(response.has_value()) << client.last_error();
+        if (!response->terminal()) continue;
+        ASSERT_EQ(response->type, ResponseType::kVerdict)
+            << "file " << response->id - 1 << ": " << response->reason;
+        EXPECT_TRUE(answers.emplace(response->id, *response).second)
+            << "file " << response->id - 1 << " answered twice";
+      }
+      for (std::size_t i = 0; i < files.size(); ++i) {
+        const pipeline::PipelineRecord& want = expected.records[i];
+        const Response& got = answers.at(i + 1);
+        EXPECT_EQ(got.verdict, judge::verdict_name(want.verdict))
+            << "file " << i;
+        EXPECT_EQ(got.judge_valid, want.judge_says_valid) << "file " << i;
+        EXPECT_EQ(got.compiled, want.compiled) << "file " << i;
+        EXPECT_EQ(got.executed, want.executed) << "file " << i;
+      }
+    }
   }
 }
 
