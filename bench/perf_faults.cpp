@@ -166,13 +166,13 @@ void BM_ClientAddedLatency(benchmark::State& state) {
     added.reserve(prompts.size());
     for (const auto& prompt : prompts) {
       const auto t0 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(clean->complete(prompt).text.data());
+      benchmark::DoNotOptimize(clean->submit(prompt).get().text.data());
       const auto t1 = std::chrono::steady_clock::now();
       double faulted_us = 0.0;
       bool ok = true;
       const auto t2 = std::chrono::steady_clock::now();
       try {
-        benchmark::DoNotOptimize(faulted->complete(prompt).text.data());
+        benchmark::DoNotOptimize(faulted->submit(prompt).get().text.data());
       } catch (const llm::ModelError&) {
         ok = false;  // gave up past the budget: not a latency sample
       }

@@ -96,7 +96,7 @@ void BM_ClientConcurrency(benchmark::State& state) {
     for (std::size_t t = 0; t < callers; ++t) {
       threads.emplace_back([&client, &prompt] {
         for (int i = 0; i < 8; ++i) {
-          auto completion = client->complete(prompt);
+          auto completion = client->submit(prompt).get();
           benchmark::DoNotOptimize(completion.completion_tokens);
         }
       });

@@ -3,7 +3,7 @@
 /// Umbrella header for the LLM4VV reproduction library.
 ///
 /// Layering (each header can also be included individually):
-///   support   - RNG, queues, thread pool, tables, CSV/JSONL, CLI
+///   support   - RNG, queues, thread pool, tables, JSONL, CLI
 ///   cache     - persistent content-addressed artifact store + clients
 ///   frontend  - C/C++/Fortran-lite lexer, parser, AST, sema, diagnostics
 ///   directive - OpenACC/OpenMP directive parsing, spec tables, validation
@@ -20,7 +20,6 @@
 #include "cache/artifact_store.hpp"
 #include "cache/compile_cache.hpp"
 #include "core/experiments.hpp"
-#include "core/export.hpp"
 #include "core/paper_data.hpp"
 #include "core/report.hpp"
 #include "corpus/generator.hpp"

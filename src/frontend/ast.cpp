@@ -2,24 +2,6 @@
 
 namespace llm4vv::frontend {
 
-std::string type_to_string(const Type& type) {
-  std::string out;
-  switch (type.base) {
-    case BaseType::kVoid: out = "void"; break;
-    case BaseType::kInt: out = "int"; break;
-    case BaseType::kLong: out = "long"; break;
-    case BaseType::kChar: out = "char"; break;
-    case BaseType::kBool: out = "bool"; break;
-    case BaseType::kFloat: out = "float"; break;
-    case BaseType::kDouble: out = "double"; break;
-  }
-  for (int i = 0; i < type.pointer_depth; ++i) out.push_back('*');
-  if (type.is_array) {
-    out += "[" + std::to_string(type.array_extent) + "]";
-  }
-  return out;
-}
-
 ExprPtr make_int_literal(long value, int line, int column) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kIntLit;

@@ -29,9 +29,6 @@ struct Type {
   }
 };
 
-/// Render a type roughly as spelled, e.g. "double*", "int[1024]".
-std::string type_to_string(const Type& type);
-
 // --------------------------------------------------------------------------
 // Expressions
 // --------------------------------------------------------------------------

@@ -2,27 +2,6 @@
 
 namespace llm4vv::frontend {
 
-const char* diag_code_name(DiagCode code) noexcept {
-  switch (code) {
-    case DiagCode::kUnexpectedToken: return "unexpected-token";
-    case DiagCode::kUnterminated: return "unterminated";
-    case DiagCode::kMismatchedBrace: return "mismatched-brace";
-    case DiagCode::kUndeclaredIdentifier: return "undeclared-identifier";
-    case DiagCode::kRedefinition: return "redefinition";
-    case DiagCode::kNotCallable: return "not-callable";
-    case DiagCode::kBadArity: return "bad-arity";
-    case DiagCode::kBadDirective: return "bad-directive";
-    case DiagCode::kBadClause: return "bad-clause";
-    case DiagCode::kBadClauseArg: return "bad-clause-arg";
-    case DiagCode::kVersionGate: return "version-gate";
-    case DiagCode::kMissingMain: return "missing-main";
-    case DiagCode::kInvalidBreak: return "invalid-break";
-    case DiagCode::kTypeMismatch: return "type-mismatch";
-    case DiagCode::kStrictness: return "strictness";
-  }
-  return "?";
-}
-
 void DiagnosticEngine::report(Severity severity, DiagCode code, int line,
                               int column, std::string message) {
   diags_.push_back(

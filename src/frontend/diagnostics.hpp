@@ -29,9 +29,6 @@ enum class DiagCode {
   kStrictness,            ///< toolchain persona strictness quirk
 };
 
-/// Short stable mnemonic for a DiagCode, e.g. "undeclared-identifier".
-const char* diag_code_name(DiagCode code) noexcept;
-
 /// One compiler diagnostic with source position (1-based line/column).
 struct Diagnostic {
   Severity severity = Severity::kError;

@@ -946,23 +946,6 @@ std::vector<CompletionFuture> ModelClient::submit_many(
   return enqueue(std::move(requests));
 }
 
-Completion ModelClient::complete(const std::string& prompt,
-                                 const GenerationParams& params) {
-  return submit(prompt, params).get();
-}
-
-std::vector<Completion> ModelClient::complete_many(
-    const std::vector<std::string>& prompts, const GenerationParams& params) {
-  if (prompts.empty()) return {};
-  const auto futures = submit_many(prompts, params);
-  std::vector<Completion> completions;
-  completions.reserve(futures.size());
-  for (const CompletionFuture& future : futures) {
-    completions.push_back(future.get());
-  }
-  return completions;
-}
-
 ClientStats ModelClient::stats() const {
   ClientStats snapshot;
   {

@@ -45,15 +45,15 @@ enum class OverflowPolicy {
 ///
 /// The defaults are **paper mode**: `window_us = 0` flushes every
 /// submission the moment it is enqueued, so nothing ever waits and nothing
-/// from another caller can ride along — complete() prices exactly like a
+/// from another caller can ride along — a submit() prices exactly like a
 /// sequential generate() (a batch of one is priced bit-identically, see
-/// SimulatedCoderModel) and complete_many() prices exactly like the PR 2
-/// one-pass-per-call batch. The core/ experiments rely on this pinning for
+/// SimulatedCoderModel) and a submit_many() group prices exactly like one
+/// generate_batch() pass. The core/ experiments rely on this pinning for
 /// their seed-exact simulated-GPU accounting.
 struct BatcherConfig {
   /// Flush as soon as this many requests are pending. 0 = no cap: a flush
-  /// takes everything pending (every complete_many() call then maps to one
-  /// forward pass, the PR 2 shape).
+  /// takes everything pending (every submit_many() group then maps to one
+  /// forward pass).
   std::size_t max_batch = 0;
   /// Upper bound on how long a pending request may wait for the batch to
   /// fill before the flusher thread submits it anyway; an idle flush may
@@ -151,8 +151,8 @@ enum class FlushReason {
 ///     by filtering files before the LLM stage.
 ///   batches — batched forward passes: flushes that carried two or more
 ///     prompts, or whose requests arrived through the batch submission API
-///     (submit_many / complete_many). A lone complete()/submit() flush is a
-///     plain request, not a batch.
+///     (submit_many). A lone submit() flush is a plain request, not a
+///     batch.
 ///   batched_prompts — prompts served by those passes (also in requests).
 ///   max_batch — largest single batched pass so far.
 ///   formed_batches — forward passes the batcher executed, of any size and
@@ -277,8 +277,8 @@ struct PendingRequest {
   std::string prompt;
   GenerationParams params;
   std::shared_ptr<CompletionState> state;
-  /// Arrived through submit_many/complete_many: a batch call of one
-  /// prompt still counts in `batches`.
+  /// Arrived through submit_many: a batch call of one prompt still counts
+  /// in `batches`.
   bool batch_origin = false;
   std::chrono::steady_clock::time_point enqueued;
 };
@@ -410,10 +410,10 @@ struct Transcript {
 /// requests into a central adaptive batcher (see BatcherConfig) and return
 /// futures; the batcher coalesces pending requests across *all* callers
 /// and flushes them as one generate_batch() pass when the batch fills or
-/// the wait window elapses. The blocking complete()/complete_many() calls
-/// are thin wrappers over that one code path. Only requests with equal
-/// GenerationParams coalesce (a pass has a single params set); the batcher
-/// flushes the longest FIFO run of equal-params requests at a time.
+/// the wait window elapses; a caller blocks by calling get() on a future.
+/// Only requests with equal GenerationParams coalesce (a pass has a single
+/// params set); the batcher flushes the longest FIFO run of equal-params
+/// requests at a time.
 ///
 /// Slot admission is FIFO: every flush takes a ticket and acquires only at
 /// the head of the queue. Without the ticket, a steady stream of
@@ -444,30 +444,17 @@ class ModelClient {
   /// Submit one prompt to the adaptive batcher. Returns immediately with a
   /// future unless this submission fills the batch — the filling caller
   /// runs the flush inline (and with window_us == 0 every submission is
-  /// its own immediate flush, pricing exactly like the old blocking path).
+  /// its own immediate flush, priced exactly like a sequential generate()).
   CompletionFuture submit(const std::string& prompt,
                           const GenerationParams& params = {});
 
   /// Submit a group of prompts atomically (they enter the batcher
-  /// back-to-back, so with window_us == 0 the group flushes as one pass —
-  /// the PR 2 complete_many shape). Futures come back in prompt order.
+  /// back-to-back, so with window_us == 0 the group flushes as one pass).
+  /// Futures come back in prompt order. Each flush acquires
+  /// min(size, max_concurrency) GPU slots atomically — it waits until that
+  /// many are free at once instead of trickling in, so two batched callers
+  /// can never deadlock each other holding partial slot sets.
   std::vector<CompletionFuture> submit_many(
-      const std::vector<std::string>& prompts,
-      const GenerationParams& params = {});
-
-  /// Blocking completion call (thread-safe): submit + wait. With a nonzero
-  /// batcher window the call waits for its flush like every other
-  /// submission — pin window_us to 0 for strictly sequential pricing.
-  Completion complete(const std::string& prompt,
-                      const GenerationParams& params = {});
-
-  /// Blocking batched completion (thread-safe): submit_many + wait all.
-  /// Each flush acquires min(size, max_concurrency) GPU slots atomically —
-  /// it waits until that many are free at once instead of trickling in, so
-  /// two batched callers can never deadlock each other holding partial
-  /// slot sets. Statistics record each pass as one batch plus per-prompt
-  /// token counts; completions come back in prompt order.
-  std::vector<Completion> complete_many(
       const std::vector<std::string>& prompts,
       const GenerationParams& params = {});
 

@@ -28,7 +28,6 @@ struct WorkItem {
 /// Everything one judge worker accumulates locally and merges at join.
 struct JudgeLocal {
   StageStats stats;
-  double gpu_seconds = 0.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t persisted_hits = 0;
@@ -293,7 +292,6 @@ PipelineResult ValidationPipeline::run(
               ++local.cache_misses;
               record.judge_attempts = decision->completion.attempts;
               record.judge_gpu_seconds = decision->completion.latency_seconds;
-              local.gpu_seconds += decision->completion.latency_seconds;
             }
           };
       for (;;) {
@@ -332,11 +330,15 @@ PipelineResult ValidationPipeline::run(
 
   for (auto& worker : workers) worker.join();
 
+  // GPU seconds are summed here, in file order, not per judge worker:
+  // floating-point addition is not associative, and the split of records
+  // between workers varies from run to run.
   for (auto& record : result.records) {
     record.pipeline_says_valid =
         record.compiled && record.executed && record.judged &&
         record.judge_says_valid;
     if (record.dropped) ++result.dropped_items;
+    result.judge_gpu_seconds += record.judge_gpu_seconds;
   }
   for (const auto& local : compile_locals) {
     merge_into(result.compile_stage, local.stats);
@@ -351,7 +353,6 @@ PipelineResult ValidationPipeline::run(
   }
   for (const auto& local : judge_locals) {
     merge_into(result.judge_stage, local.stats);
-    result.judge_gpu_seconds += local.gpu_seconds;
     result.judge_cache_hits += local.cache_hits;
     result.judge_cache_misses += local.cache_misses;
     result.judge_persisted_hits += local.persisted_hits;

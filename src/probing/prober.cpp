@@ -4,14 +4,6 @@
 
 namespace llm4vv::probing {
 
-std::size_t ProbedSuite::count(IssueType issue) const noexcept {
-  std::size_t n = 0;
-  for (const auto& file : files) {
-    if (file.issue == issue) ++n;
-  }
-  return n;
-}
-
 ProbedSuite probe_suite(const corpus::Suite& base,
                         const ProbingConfig& config) {
   std::size_t total = 0;

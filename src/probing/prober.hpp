@@ -25,7 +25,6 @@ struct ProbedSuite {
   frontend::Flavor flavor = frontend::Flavor::kOpenACC;
   std::vector<ProbedFile> files;
 
-  std::size_t count(IssueType issue) const noexcept;
   std::size_t size() const noexcept { return files.size(); }
 };
 

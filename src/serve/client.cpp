@@ -13,21 +13,6 @@
 
 namespace llm4vv::serve {
 
-Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      in_buf_(std::move(other.in_buf_)),
-      error_(std::move(other.error_)) {}
-
-Client& Client::operator=(Client&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    in_buf_ = std::move(other.in_buf_);
-    error_ = std::move(other.error_);
-  }
-  return *this;
-}
-
 bool Client::fail(std::string message) {
   error_ = std::move(message);
   return false;

@@ -24,8 +24,8 @@ class Client {
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
-  Client(Client&& other) noexcept;
-  Client& operator=(Client&& other) noexcept;
+  Client(Client&&) = delete;
+  Client& operator=(Client&&) = delete;
 
   /// Connect and (when `tenant` is non-empty) send hello + wait for the
   /// hello_ok acknowledgement. False on failure (see last_error()).

@@ -746,7 +746,5 @@ ServerStats Server::stats() const {
 }
 
 TenantTable& Server::tenants() { return impl_->tenant_table; }
-const TenantTable& Server::tenants() const { return impl_->tenant_table; }
-const FairScheduler& Server::scheduler() const { return impl_->scheduler; }
 
 }  // namespace llm4vv::serve

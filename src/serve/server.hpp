@@ -103,9 +103,6 @@ class Server {
   ServerStats stats() const;
   /// Per-tenant accounting (admission counters, latency histograms).
   TenantTable& tenants();
-  const TenantTable& tenants() const;
-  /// Scheduler backlog telemetry.
-  const FairScheduler& scheduler() const;
 
  private:
   struct Impl;

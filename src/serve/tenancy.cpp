@@ -183,17 +183,6 @@ TenantStats TenantTable::stats(const std::string& name) const {
   return it == tenants_.end() ? TenantStats{} : it->second->stats;
 }
 
-std::vector<std::pair<std::string, TenantStats>> TenantTable::all_stats()
-    const {
-  support::MutexLock lock(mutex_);
-  std::vector<std::pair<std::string, TenantStats>> out;
-  out.reserve(tenants_.size());
-  for (const auto& [name, tenant] : tenants_) {
-    out.emplace_back(name, tenant->stats);
-  }
-  return out;
-}
-
 TenantStats TenantTable::totals() const {
   support::MutexLock lock(mutex_);
   TenantStats total;

@@ -160,8 +160,6 @@ class TenantTable {
   std::uint32_t weight(const std::string& name) const EXCLUDES(mutex_);
 
   TenantStats stats(const std::string& name) const EXCLUDES(mutex_);
-  std::vector<std::pair<std::string, TenantStats>> all_stats() const
-      EXCLUDES(mutex_);
   /// Sum over tenants (latency histogram included).
   TenantStats totals() const EXCLUDES(mutex_);
 

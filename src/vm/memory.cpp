@@ -203,12 +203,4 @@ std::size_t Memory::live_allocations() const noexcept {
   return n;
 }
 
-std::uint64_t Memory::cells_in_use() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& alloc : allocs_) {
-    if (alloc.alive) n += alloc.size;
-  }
-  return n;
-}
-
 }  // namespace llm4vv::vm

@@ -91,9 +91,6 @@ class Memory {
   /// Number of live (not freed) allocations.
   std::size_t live_allocations() const noexcept;
 
-  /// Total cells currently allocated (live allocations only).
-  std::uint64_t cells_in_use() const noexcept;
-
  private:
   Allocation& find_allocation(std::uint64_t address,
                               const char* what);

@@ -56,37 +56,35 @@ void await_blocked_waiters(const ModelClient& client, std::size_t count,
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence with the blocking path
+// Equivalence with direct model calls
 // ---------------------------------------------------------------------------
 
 TEST(SubmitTest, SubmitGetMatchesCompleteByteForByte) {
   auto model = std::make_shared<const SimulatedCoderModel>();
   ModelClient async_client(model, 2);
-  ModelClient blocking_client(model, 2);
   const auto prompts = sample_prompts(3);
   GenerationParams params;
   params.seed = 11;
   for (const auto& prompt : prompts) {
     const auto future = async_client.submit(prompt, params);
     const auto via_future = future.get();
-    const auto via_blocking = blocking_client.complete(prompt, params);
-    EXPECT_EQ(via_future.text, via_blocking.text);
-    EXPECT_EQ(via_future.prompt_tokens, via_blocking.prompt_tokens);
-    EXPECT_EQ(via_future.completion_tokens, via_blocking.completion_tokens);
+    const auto direct = model->generate(prompt, params);
+    EXPECT_EQ(via_future.text, direct.text);
+    EXPECT_EQ(via_future.prompt_tokens, direct.prompt_tokens);
+    EXPECT_EQ(via_future.completion_tokens, direct.completion_tokens);
     // Paper-mode pricing: a lone submission is its own flush of one,
     // priced exactly like the sequential call.
-    EXPECT_DOUBLE_EQ(via_future.latency_seconds,
-                     via_blocking.latency_seconds);
+    EXPECT_DOUBLE_EQ(via_future.latency_seconds, direct.latency_seconds);
   }
 }
 
 TEST(SubmitTest, SubmitManyMatchesCompleteMany) {
   auto model = std::make_shared<const SimulatedCoderModel>();
   ModelClient async_client(model, 4);
-  ModelClient blocking_client(model, 4);
   const auto prompts = sample_prompts(5);
   const auto futures = async_client.submit_many(prompts);
-  const auto reference = blocking_client.complete_many(prompts);
+  // With window 0 the group flushes whole: one generate_batch() pass.
+  const auto reference = model->generate_batch(prompts, {});
   ASSERT_EQ(futures.size(), prompts.size());
   for (std::size_t i = 0; i < prompts.size(); ++i) {
     const auto completion = futures[i].get();
@@ -199,7 +197,7 @@ TEST(AdaptiveBatcherTest, MaxBatchCapsOversizedSubmitMany) {
   ModelClient client(std::make_shared<const SimulatedCoderModel>(), 4, 0,
                      batcher);
   const auto prompts = sample_prompts(7);
-  const auto completions = client.complete_many(prompts);
+  const auto completions = testutil::get_all(client.submit_many(prompts));
   ASSERT_EQ(completions.size(), 7u);
   const auto stats = client.stats();
   // 7 prompts with a 3-cap: passes of 3, 3, 1.
@@ -208,7 +206,7 @@ TEST(AdaptiveBatcherTest, MaxBatchCapsOversizedSubmitMany) {
   EXPECT_EQ(stats.requests, 7u);
   // Text must match the uncapped client prompt-for-prompt.
   ModelClient reference(std::make_shared<const SimulatedCoderModel>(), 4);
-  const auto expected = reference.complete_many(prompts);
+  const auto expected = testutil::get_all(reference.submit_many(prompts));
   for (std::size_t i = 0; i < prompts.size(); ++i) {
     EXPECT_EQ(completions[i].text, expected[i].text) << i;
   }
@@ -235,8 +233,8 @@ TEST(AdaptiveBatcherTest, MixedParamsNeverShareAPass) {
   EXPECT_EQ(fb.flush_size(), 1u);
   // ...and each completion must match its own seed's sequential result.
   ModelClient reference(std::make_shared<const SimulatedCoderModel>(), 2);
-  EXPECT_EQ(ca.text, reference.complete(prompts[0], seed_a).text);
-  EXPECT_EQ(cb.text, reference.complete(prompts[1], seed_b).text);
+  EXPECT_EQ(ca.text, reference.submit(prompts[0], seed_a).get().text);
+  EXPECT_EQ(cb.text, reference.submit(prompts[1], seed_b).get().text);
 }
 
 TEST(AdaptiveBatcherTest, MixedParamsDoNotFakeAFullFlush) {
@@ -614,7 +612,7 @@ TEST(AsyncShutdownTest, SubmitAfterShutdownBeginsFailsCleanly) {
   batcher.window_us = 1000;
   auto client = std::make_unique<ModelClient>(
       std::make_shared<const SimulatedCoderModel>(), 1, 0, batcher);
-  const auto completion = client->complete(sample_prompts(1)[0]);
+  const auto completion = client->submit(sample_prompts(1)[0]).get();
   EXPECT_FALSE(completion.text.empty());
   EXPECT_NO_THROW(client.reset());
 }
@@ -736,9 +734,9 @@ TEST(OccupancyBucketTest, FlushSizesLandInDocumentedBuckets) {
   ModelClient client(std::make_shared<const SimulatedCoderModel>(),
                      /*max_concurrency=*/2);
   for (int i = 0; i < 3; ++i) {
-    client.complete("single prompt " + std::to_string(i));
+    client.submit("single prompt " + std::to_string(i)).get();
   }
-  client.complete_many(sample_prompts(6));
+  testutil::get_all(client.submit_many(sample_prompts(6)));
   const ClientStats stats = client.stats();
   EXPECT_EQ(stats.occupancy_hist[0], 3u);
   EXPECT_EQ(stats.occupancy_hist[ClientStats::occupancy_bucket(6)], 1u);

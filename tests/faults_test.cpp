@@ -12,6 +12,7 @@
 #include "llm/coder_model.hpp"
 #include "llm/faults.hpp"
 #include "support/rng.hpp"
+#include "tests/test_util.hpp"
 
 namespace llm4vv::llm {
 namespace {
@@ -283,7 +284,7 @@ TEST(FaultsTest, CoderModelSlowFaultInflatesLatencyOnly) {
 TEST(RetryTest, TransientFailureRetriedToSuccess) {
   auto model = std::make_shared<FlakyModel>(2);
   ModelClient client(model, 1, 0, {}, fast_retries(4));
-  const Completion completion = client.complete("hello");
+  const Completion completion = client.submit("hello").get();
   EXPECT_EQ(completion.text, "ok:hello");
   EXPECT_EQ(completion.attempts, 3u);
   EXPECT_EQ(model->calls(), 3);
@@ -302,7 +303,7 @@ TEST(RetryTest, TransientFailureRetriedToSuccess) {
 TEST(RetryTest, DefaultPolicyDoesNotRetry) {
   auto model = std::make_shared<FlakyModel>(1);
   ModelClient client(model);
-  EXPECT_THROW(client.complete("hello"), TransientModelError);
+  EXPECT_THROW(client.submit("hello").get(), TransientModelError);
   EXPECT_EQ(model->calls(), 1);
   const ClientStats stats = client.stats();
   EXPECT_EQ(stats.failed_requests, 1u);
@@ -313,7 +314,7 @@ TEST(RetryTest, PermanentFailureNotRetried) {
   auto model = std::make_shared<FlakyModel>(100, /*permanent=*/true);
   ModelClient client(model, 1, 0, {}, fast_retries(5));
   try {
-    client.complete("hello");
+    client.submit("hello").get();
     FAIL() << "expected PermanentModelError";
   } catch (const PermanentModelError& e) {
     EXPECT_EQ(e.kind(), FailureKind::kPermanent);
@@ -327,7 +328,7 @@ TEST(RetryTest, BudgetExhaustionReportsAttempts) {
   auto model = std::make_shared<FlakyModel>(100);
   ModelClient client(model, 1, 0, {}, fast_retries(3));
   try {
-    client.complete("hello");
+    client.submit("hello").get();
     FAIL() << "expected TransientModelError";
   } catch (const TransientModelError& e) {
     EXPECT_EQ(e.attempts(), 3u);
@@ -392,7 +393,7 @@ TEST(RetryTest, DeadlineExpiryBecomesTimeout) {
   retry.deadline_us = 10000;
   ModelClient client(model, 1, 0, {}, retry);
   try {
-    client.complete("hello");
+    client.submit("hello").get();
     FAIL() << "expected RequestTimeoutError";
   } catch (const RequestTimeoutError& e) {
     EXPECT_EQ(e.kind(), FailureKind::kTimeout);
@@ -412,8 +413,8 @@ TEST(BackpressureTest, UnboundedByDefault) {
   auto model = std::make_shared<FlakyModel>(0);
   ModelClient client(model);
   EXPECT_EQ(client.batcher().max_pending, 0u);
-  const auto completions = client.complete_many(
-      std::vector<std::string>(64, "p"));
+  const auto completions = testutil::get_all(client.submit_many(
+      std::vector<std::string>(64, "p")));
   EXPECT_EQ(completions.size(), 64u);
   EXPECT_EQ(client.stats().pending_shed, 0u);
 }
@@ -477,15 +478,15 @@ TEST(BreakerTest, OpensOnFailureRateAndFailsFast) {
   ModelClient client(model, 1, 0, {}, {}, breaker);
 
   EXPECT_EQ(client.breaker_state(), BreakerState::kClosed);
-  EXPECT_THROW(client.complete("a"), TransientModelError);
-  EXPECT_THROW(client.complete("b"), TransientModelError);
+  EXPECT_THROW(client.submit("a").get(), TransientModelError);
+  EXPECT_THROW(client.submit("b").get(), TransientModelError);
   EXPECT_EQ(client.breaker_state(), BreakerState::kOpen);
   EXPECT_EQ(client.stats().breaker_opens, 1u);
 
   // While open, requests fail fast without touching the model.
   model->failing.store(false);
   try {
-    client.complete("c");
+    client.submit("c").get();
     FAIL() << "expected CircuitOpenError";
   } catch (const CircuitOpenError& e) {
     EXPECT_EQ(e.kind(), FailureKind::kBreaker);
@@ -503,16 +504,16 @@ TEST(BreakerTest, HalfOpenProbeRecloses) {
   breaker.cooldown_us = 0;  // next pass after opening is the probe
   ModelClient client(model, 1, 0, {}, {}, breaker);
 
-  EXPECT_THROW(client.complete("a"), TransientModelError);
-  EXPECT_THROW(client.complete("b"), TransientModelError);
+  EXPECT_THROW(client.submit("a").get(), TransientModelError);
+  EXPECT_THROW(client.submit("b").get(), TransientModelError);
   EXPECT_EQ(client.breaker_state(), BreakerState::kOpen);
 
   // Backend recovered: the half-open probe succeeds and recloses.
   model->failing.store(false);
-  EXPECT_EQ(client.complete("c").text, "ok:c");
+  EXPECT_EQ(client.submit("c").get().text, "ok:c");
   EXPECT_EQ(client.breaker_state(), BreakerState::kClosed);
   // And a recovered breaker serves normally again.
-  EXPECT_EQ(client.complete("d").text, "ok:d");
+  EXPECT_EQ(client.submit("d").get().text, "ok:d");
 }
 
 TEST(BreakerTest, BreakerRejectionIsRetryable) {
@@ -528,7 +529,7 @@ TEST(BreakerTest, BreakerRejectionIsRetryable) {
   // "a" trips the breaker mid-retry (two transient failures open it), and
   // its own final attempt is already a fast rejection — the last failure
   // kind wins, so the request surfaces as CircuitOpenError.
-  EXPECT_THROW(client.complete("a"), CircuitOpenError);
+  EXPECT_THROW(client.submit("a").get(), CircuitOpenError);
   EXPECT_EQ(client.breaker_state(), BreakerState::kOpen);
   const std::uint64_t retries_before = client.stats().retries;
 
@@ -536,7 +537,7 @@ TEST(BreakerTest, BreakerRejectionIsRetryable) {
   // full attempt budget on fast rejections instead of failing on the first
   // one (so a breaker that recloses mid-backoff would be ridden through).
   try {
-    client.complete("b");
+    client.submit("b").get();
     FAIL() << "expected CircuitOpenError";
   } catch (const CircuitOpenError& e) {
     EXPECT_EQ(e.kind(), FailureKind::kBreaker);

@@ -504,8 +504,8 @@ TEST(ModelClientTest, AccumulatesStats) {
   ModelClient client(model, 2);
   const auto prompt =
       judge::direct_analysis_prompt(test_file(Flavor::kOpenACC));
-  client.complete(prompt);
-  client.complete(prompt);
+  client.submit(prompt).get();
+  client.submit(prompt).get();
   const auto stats = client.stats();
   EXPECT_EQ(stats.requests, 2u);
   EXPECT_GT(stats.prompt_tokens, 0u);
@@ -521,8 +521,10 @@ TEST(ModelClientTest, TranscriptRingKeepsMostRecent) {
   auto model = std::make_shared<const SimulatedCoderModel>();
   ModelClient client(model, 1, /*transcript_capacity=*/2);
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    client.complete(
-        judge::direct_analysis_prompt(test_file(Flavor::kOpenACC, seed)));
+    client
+        .submit(judge::direct_analysis_prompt(
+            test_file(Flavor::kOpenACC, seed)))
+        .get();
   }
   EXPECT_EQ(client.transcripts().size(), 2u);
 }
@@ -535,7 +537,7 @@ TEST(ModelClientTest, ConcurrentCallsAllComplete) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&client, &prompt] {
-      for (int i = 0; i < 10; ++i) client.complete(prompt);
+      for (int i = 0; i < 10; ++i) client.submit(prompt).get();
     });
   }
   for (auto& thread : threads) thread.join();

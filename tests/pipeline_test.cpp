@@ -500,6 +500,46 @@ TEST(PipelineTest, RepeatedAdaptiveRunsLeaveNoStrandedState) {
                    second.judge_stage.processed));
 }
 
+// With several judge workers the records split between them differently
+// from run to run. The GPU-second total must still be the same sum, in
+// file order, every time: the paper-mode pass of TsanStressTest priced by
+// two judge workers, five times over.
+TEST(PipelineTest, MultiWorkerGpuSecondsAreTheInOrderRecordSum) {
+  const auto suite = corpus::generate_suite(
+      testutil::corpus_config(Flavor::kOpenACC, 120 + 32, 1234));
+  probing::ProbingConfig probe;
+  probe.issue_counts = {0, 0, 0, 0, 0, 120};
+  probe.seed = 77;
+  const auto files = files_of(probing::probe_suite(suite, probe));
+
+  judge::JudgeCacheConfig cache;
+  cache.enabled = false;
+  auto judge = std::make_shared<const judge::Llmj>(
+      core::make_simulated_client(2), llm::PromptStyle::kAgentDirect, cache);
+  PipelineConfig config;
+  config.mode = PipelineMode::kRecordAll;
+  config.compile_workers = 2;
+  config.execute_workers = 2;
+  config.judge_workers = 2;
+  config.judge_batch_size = 1;
+  const ValidationPipeline pipe(
+      toolchain::CompilerDriver(toolchain::nvc_persona()),
+      toolchain::Executor(), judge, config);
+
+  double first_total = 0.0;
+  for (int run = 0; run < 5; ++run) {
+    const auto result = pipe.run(files);
+    double in_order = 0.0;
+    for (const auto& record : result.records) {
+      in_order += record.judge_gpu_seconds;
+    }
+    EXPECT_EQ(result.judge_gpu_seconds, in_order) << "run " << run;
+    if (run == 0) first_total = result.judge_gpu_seconds;
+    EXPECT_EQ(result.judge_gpu_seconds, first_total) << "run " << run;
+  }
+  EXPECT_NEAR(first_total, 1606.13, 0.005);
+}
+
 TEST(PipelineTest, StageStatsAreConsistent) {
   const auto probed = probed_batch(4, 16);
   const auto files = files_of(probed);

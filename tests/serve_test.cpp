@@ -539,6 +539,45 @@ TEST(ServeServerTest, JudgeErrorsAnswerEachJobWithOneErrorFrame) {
   EXPECT_EQ(stats.in_flight, 0u);
 }
 
+// A peer that half-closes its write side after submitting still gets every
+// answer: the server keeps the connection open past the EOF until each
+// accepted job's terminal frame is written, then closes it.
+TEST(ServeServerTest, HalfClosedPeerGetsEveryAnswerBeforeEof) {
+  ServerConfig config;
+  config.workers = 2;
+  config.job_batch = 4;
+  ServerHarness harness(config);
+
+  constexpr std::uint64_t kJobs = 16;
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", harness.server->port(), "t"))
+      << client.last_error();
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    ASSERT_TRUE(client.send_submit(id, sample_file(id)));
+  }
+  ASSERT_TRUE(client.shutdown_write()) << client.last_error();
+
+  std::map<std::uint64_t, int> answers;
+  std::uint64_t terminal = 0;
+  for (;;) {
+    const auto response = client.next_response(30000);
+    if (!response.has_value()) break;
+    if (!response->terminal()) continue;
+    ++terminal;
+    EXPECT_EQ(response->type, ResponseType::kVerdict) << response->reason;
+    answers[response->id] += 1;
+  }
+  EXPECT_EQ(client.last_error(), "eof");
+  EXPECT_EQ(terminal, kJobs);
+  ASSERT_EQ(answers.size(), kJobs);
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    EXPECT_EQ(answers[id], 1) << "job " << id;
+  }
+  const TenantStats stats = harness.server->tenants().stats("t");
+  EXPECT_EQ(stats.completed_ok, kJobs);
+  EXPECT_EQ(stats.in_flight, 0u);
+}
+
 TEST(ServeServerTest, ShutdownOpDrainsFromTheWire) {
   ServerHarness harness;
   Client client;

@@ -6,9 +6,7 @@
 #include <thread>
 
 #include "support/cli.hpp"
-#include "support/csv.hpp"
 #include "support/jsonl.hpp"
-#include "support/log.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 #include "support/strings.hpp"
@@ -253,54 +251,6 @@ TEST(TableTest, RuleDoesNotCountAsRow) {
 }
 
 // ---------------------------------------------------------------------------
-// CSV
-// ---------------------------------------------------------------------------
-
-TEST(CsvTest, QuotesSpecialFields) {
-  EXPECT_EQ(csv_quote("plain"), "plain");
-  EXPECT_EQ(csv_quote("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_quote("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(CsvTest, RowWidthEnforced) {
-  CsvWriter w({"a", "b"});
-  EXPECT_THROW(w.add_row({"1"}), std::invalid_argument);
-  w.add_row({"1", "2"});
-  EXPECT_EQ(w.row_count(), 1u);
-}
-
-struct CsvRoundTripCase {
-  const char* name;
-  std::vector<std::string> row;
-};
-
-// Prints the case name. Without it gtest dumps the vector's bytes, heap
-// pointers included, and the discovered ctest names change on every build.
-void PrintTo(const CsvRoundTripCase& c, std::ostream* os) { *os << c.name; }
-
-class CsvRoundTripTest : public ::testing::TestWithParam<CsvRoundTripCase> {};
-
-TEST_P(CsvRoundTripTest, WriteThenParseIsIdentity) {
-  CsvWriter w({"c1", "c2", "c3"});
-  w.add_row(GetParam().row);
-  const auto rows = csv_parse(w.str());
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1], GetParam().row);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    TrickyFields, CsvRoundTripTest,
-    ::testing::Values(
-        CsvRoundTripCase{"plain", {"a", "b", "c"}},
-        CsvRoundTripCase{"comma_quote_newline",
-                         {"with,comma", "with\"quote", "with\nnewline"}},
-        CsvRoundTripCase{"all_empty", {"", "", ""}},
-        CsvRoundTripCase{"edge_spaces_and_quoted",
-                         {" leading", "trailing ", "\"quoted\""}},
-        CsvRoundTripCase{"multiline_and_lone_specials",
-                         {"multi\nline\ntext", ",", "\""}}));
-
-// ---------------------------------------------------------------------------
 // JSONL
 // ---------------------------------------------------------------------------
 
@@ -357,7 +307,7 @@ TEST(CliTest, BadIntegerThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Stopwatch & log
+// Stopwatch
 // ---------------------------------------------------------------------------
 
 TEST(StopwatchTest, TimeAdvancesMonotonically) {
@@ -366,14 +316,6 @@ TEST(StopwatchTest, TimeAdvancesMonotonically) {
   const double t2 = w.seconds();
   EXPECT_GE(t2, t1);
   EXPECT_GE(t1, 0.0);
-}
-
-TEST(LogTest, LevelGateIsThreadSafeToToggle) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  log_info("suppressed");  // must not crash
-  set_log_level(before);
 }
 
 }  // namespace

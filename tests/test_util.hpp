@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "corpus/generator.hpp"
 #include "directive/validator.hpp"
@@ -15,6 +16,7 @@
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
+#include "llm/client.hpp"
 #include "llm/coder_model.hpp"
 #include "toolchain/compiler.hpp"
 #include "toolchain/executor.hpp"
@@ -22,6 +24,19 @@
 #include "vm/lower.hpp"
 
 namespace llm4vv::testutil {
+
+/// Wait for every future of one ModelClient::submit_many() group; the
+/// completions come back in prompt order, and the first failed request's
+/// error is rethrown.
+inline std::vector<llm::Completion> get_all(
+    const std::vector<llm::CompletionFuture>& futures) {
+  std::vector<llm::Completion> completions;
+  completions.reserve(futures.size());
+  for (const llm::CompletionFuture& future : futures) {
+    completions.push_back(future.get());
+  }
+  return completions;
+}
 
 /// Front-end a C/C++ source string (lex/parse/sema/validate); returns the
 /// program and leaves diagnostics in `diags`.

@@ -155,7 +155,7 @@ TEST(TsanStressTest, BatcherWindowFlushRacesInlineFlush) {
   for (auto& t : submitters) t.join();
 
   for (std::size_t i = 0; i < kPrompts; ++i) {
-    const auto expected = reference.complete(prompts[i], params);
+    const auto expected = reference.submit(prompts[i], params).get();
     EXPECT_EQ(results[i].text, expected.text) << "prompt " << i;
     EXPECT_EQ(results[i].completion_tokens, expected.completion_tokens);
   }
