@@ -33,7 +33,7 @@ std::string cache_file_path() {
     return env;
   }
   return (std::filesystem::temp_directory_path() /
-          "llm4vv_warm_start_cache.jsonl")
+          "llm4vv_warm_start_cache.store")
       .string();
 }
 
@@ -192,12 +192,15 @@ void BM_PipelineWarmStart(benchmark::State& state) {
 BENCHMARK(BM_PipelineWarmStart)->Unit(benchmark::kMillisecond);
 
 void BM_ArtifactStoreRoundTrip(benchmark::State& state) {
-  // Save + reload throughput for a store of `records` synthetic verdicts —
-  // the fixed cost a warm start pays before the pipeline runs.
+  // Save + reload throughput for a store of `records` synthetic verdicts,
+  // each with a `prompt_bytes` field — the fixed cost a warm start pays
+  // before the pipeline runs. The 4096-record row is warm-rerun sized: its
+  // store holds about 3.5k records of about 1 KB.
   const auto records = static_cast<std::uint64_t>(state.range(0));
+  const auto prompt_bytes = static_cast<std::size_t>(state.range(1));
   const std::string path =
       (std::filesystem::temp_directory_path() /
-       "llm4vv_store_roundtrip_bench.jsonl")
+       "llm4vv_store_roundtrip_bench.store")
           .string();
   cache::ArtifactStoreConfig config;
   config.path = path;
@@ -206,7 +209,7 @@ void BM_ArtifactStoreRoundTrip(benchmark::State& state) {
   cache::ArtifactStore store(config);
   for (std::uint64_t k = 0; k < records; ++k) {
     store.put("judge", k, k ^ 0xABCD,
-              {{"prompt", std::string(512, 'p')},
+              {{"prompt", std::string(prompt_bytes, 'p')},
                {"text", std::string(128, 't')},
                {"verdict", "0"}});
   }
@@ -221,10 +224,11 @@ void BM_ArtifactStoreRoundTrip(benchmark::State& state) {
   std::filesystem::remove(path, ec);
 }
 BENCHMARK(BM_ArtifactStoreRoundTrip)
-    ->Arg(128)
-    ->Arg(1024)
+    ->Args({128, 512})
+    ->Args({1024, 512})
+    ->Args({4096, 896})
     ->Unit(benchmark::kMillisecond)
-    ->ArgNames({"records"});
+    ->ArgNames({"records", "prompt_bytes"});
 
 }  // namespace
 

@@ -32,7 +32,8 @@
 # Usage: bench/run_benchmarks.sh [build-dir]
 #   BENCH_MIN_TIME=0.01s bench/run_benchmarks.sh   # quick smoke run
 # Needs jq: every summary and gate reads the recorded JSON with it, so the
-# script fails at once when jq is missing.
+# script fails at once when jq is missing. Each gate prints one verdict
+# line; when any gate failed, the script exits 1 at the end naming them.
 set -euo pipefail
 
 script_dir="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
@@ -57,6 +58,17 @@ bench_args=(--benchmark_repetitions=1)
 if [[ -n "${min_time}" ]]; then
   bench_args+=("--benchmark_min_time=${min_time}")
 fi
+
+# Every gate prints one line. A failed gate is recorded, not fatal, so one
+# noisy bar cannot hide the verdicts of the gates after it; the script
+# exits 1 at the end, naming every gate that failed.
+failed_gates=()
+gate_failed() {
+  local name="$1"
+  shift
+  echo "error: $*" >&2
+  failed_gates+=("${name}")
+}
 
 run_bench() {
   local name="$1" out="$2"
@@ -87,7 +99,7 @@ run_bench perf_llm "${script_dir}/BENCH_llm.json"
 # saves its verdicts; the second must report a non-zero cross-run persisted
 # hit rate — if it doesn't, persistence silently stopped working and the
 # script fails. BENCH_cache.json keeps the second (warm) run.
-warm_cache_file="${script_dir}/.warm_start_cache.jsonl"
+warm_cache_file="${script_dir}/.warm_start_cache.store"
 rm -f "${warm_cache_file}"
 LLM4VV_BENCH_CACHE_FILE="${warm_cache_file}" \
   run_bench perf_cache "${script_dir}/BENCH_cache.json"
@@ -124,7 +136,7 @@ jq -r '
 # Guard against batched-path bitrot: the sweep must actually have filled
 # batches (occupancy > 1 with nonzero submissions for judge_batch >= 4)
 # and the amortized passes must price below the sequential baseline.
-jq -e '
+if jq -e '
   ([.benchmarks[] | select(.name == "BM_PipelineJudgeBatch/judge_batch:1")]
       [0].sim_gpu_s_per_run) as $seq |
   [.benchmarks[]
@@ -133,28 +145,30 @@ jq -e '
   | length > 0 and
     all(.[]; .judge_batches_per_run > 0 and .judge_batch_occupancy > 1
              and .sim_gpu_s_per_run < $seq)
-' "${script_dir}/BENCH_pipeline.json" > /dev/null || {
-  echo "error: batched judge path not exercised (batch stats zero or no" \
-       "GPU saving) - see BENCH_pipeline.json" >&2
-  exit 1
-}
-echo "batched judge path OK (occupancy > 1, sim GPU below sequential)"
+' "${script_dir}/BENCH_pipeline.json" > /dev/null; then
+  echo "batched judge path OK (occupancy > 1, sim GPU below sequential)"
+else
+  gate_failed "batched judge path" \
+    "batched judge path not exercised (batch stats zero or no" \
+    "GPU saving) - see BENCH_pipeline.json"
+fi
 
 # Paper-mode gate: with faults, caches and batching all off, the record-all
 # pass over the 120-file corpus prices at exactly 1606.13 simulated GPU
 # seconds, seed for seed. Any drift means a layer that should be invisible
 # when off (resilience, batching, caching) changed the computation.
-jq -e '
+if jq -e '
   ([.benchmarks[]
     | select(.name == "BM_PipelineMode/filter:0/invalid_tenths:0")][0]
     .sim_gpu_s_per_run) as $gpu |
   ($gpu - 1606.13 | if . < 0 then -. else . end) < 0.005
-' "${script_dir}/BENCH_pipeline.json" > /dev/null || {
-  echo "error: paper mode drifted (BM_PipelineMode/filter:0/invalid_tenths:0" \
-       "is not 1606.13 simulated GPU s) - see BENCH_pipeline.json" >&2
-  exit 1
-}
-echo "paper mode OK (record-all prices at 1606.13 simulated GPU s)"
+' "${script_dir}/BENCH_pipeline.json" > /dev/null; then
+  echo "paper mode OK (record-all prices at 1606.13 simulated GPU s)"
+else
+  gate_failed "paper mode" \
+    "paper mode drifted (BM_PipelineMode/filter:0/invalid_tenths:0" \
+    "is not 1606.13 simulated GPU s) - see BENCH_pipeline.json"
+fi
 
 jq -r '
   .benchmarks[]
@@ -169,7 +183,7 @@ jq -r '
 # forward passes than the T=0 formed baseline at the same load — and the
 # fuller passes must not cost more simulated GPU time. If this fails, the
 # adaptive batcher silently stopped coalescing across workers.
-jq -e '
+if jq -e '
   ([.benchmarks[]
     | select(.name == "BM_PipelineAdaptiveBatch/window_us:0")][0]) as $t0 |
   ([.benchmarks[]
@@ -177,14 +191,15 @@ jq -e '
   $t.formed_batches_per_run > 0
     and $t.formed_occupancy > $t0.formed_occupancy
     and $t.sim_gpu_s_per_run <= $t0.sim_gpu_s_per_run * 1.001
-' "${script_dir}/BENCH_batcher.json" > /dev/null || {
-  echo "error: adaptive batcher not forming cross-worker batches at" \
-       "T=200us (occupancy <= static baseline, or sim GPU regressed)" \
-       "- see BENCH_batcher.json" >&2
-  exit 1
-}
-echo "adaptive batcher OK (T=200us occupancy beats static baseline," \
-     "sim GPU no worse)"
+' "${script_dir}/BENCH_batcher.json" > /dev/null; then
+  echo "adaptive batcher OK (T=200us occupancy beats static baseline," \
+       "sim GPU no worse)"
+else
+  gate_failed "adaptive batcher" \
+    "adaptive batcher not forming cross-worker batches at" \
+    "T=200us (occupancy <= static baseline, or sim GPU regressed)" \
+    "- see BENCH_batcher.json"
+fi
 
 # Idle-flush guard: a thread alone in a submit -> get() loop is the only
 # one who could add to its batch, so once it blocks the batch must flush
@@ -196,18 +211,19 @@ jq -r '
   | "\(.name): \(.wall_us_per_request * 10 | floor / 10) us per request, " +
     "idle flush share \(.flush_idle_share * 100 | floor)%"
 ' "${script_dir}/BENCH_batcher.json"
-jq -e '
+if jq -e '
   ([.benchmarks[]
     | select(.name == "BM_LoneSubmitter/window_us:1000/real_time")][0])
     as $lone |
   $lone.wall_us_per_request > 0
     and $lone.wall_us_per_request < $lone.window_us / 2
-' "${script_dir}/BENCH_batcher.json" > /dev/null || {
-  echo "error: a lone submitter waited out the batcher window (mean wall" \
-       "time per request >= T/2 at T=1000us) - see BENCH_batcher.json" >&2
-  exit 1
-}
-echo "idle flush OK (lone submitter answered well inside the window)"
+' "${script_dir}/BENCH_batcher.json" > /dev/null; then
+  echo "idle flush OK (lone submitter answered well inside the window)"
+else
+  gate_failed "idle flush" \
+    "a lone submitter waited out the batcher window (mean wall" \
+    "time per request >= T/2 at T=1000us) - see BENCH_batcher.json"
+fi
 
 jq -r '
   [.benchmarks[] | select(.name == "BM_PipelineWarmStart")][0]
@@ -222,17 +238,18 @@ jq -r '
 # saved: a zero cross-run persisted hit rate means cross-process
 # persistence is broken. Also enforce the warm-start acceptance bar
 # (persisted hit rate >= 95%, warm sim GPU <= 10% of cold).
-jq -e '
+if jq -e '
   [.benchmarks[] | select(.name == "BM_PipelineWarmStart")][0]
   | .cross_run_persisted_hit_rate > 0
     and .persisted_hit_rate >= 0.95
     and .warm_gpu_over_cold <= 0.10
-' "${script_dir}/BENCH_cache.json" > /dev/null || {
-  echo "error: warm start not persistent (cross-run rate 0, hit rate" \
-       "< 95%, or warm sim GPU > 10% of cold) - see BENCH_cache.json" >&2
-  exit 1
-}
-echo "persistent warm start OK (cross-run hits > 0, warm GPU <= 10% cold)"
+' "${script_dir}/BENCH_cache.json" > /dev/null; then
+  echo "persistent warm start OK (cross-run hits > 0, warm GPU <= 10% cold)"
+else
+  gate_failed "persistent warm start" \
+    "warm start not persistent (cross-run rate 0, hit rate" \
+    "< 95%, or warm sim GPU > 10% of cold) - see BENCH_cache.json"
+fi
 
 jq -r '
   .benchmarks[]
@@ -247,7 +264,7 @@ jq -r '
 # bounds; relax to 1.3x there.
 dispatch_bar="1.5"
 if [[ -n "${min_time}" ]]; then dispatch_bar="1.3"; fi
-jq -e --argjson bar "${dispatch_bar}" '
+if jq -e --argjson bar "${dispatch_bar}" '
   ([.benchmarks[]
     | select(.name == "BM_ExecuteDispatch/dispatch:0/fused:0")][0]
       ["steps/s"]) as $ref |
@@ -255,12 +272,13 @@ jq -e --argjson bar "${dispatch_bar}" '
     | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:0")][0]
       ["steps/s"]) as $table |
   $table >= $ref * $bar
-' "${script_dir}/BENCH_vm.json" > /dev/null || {
-  echo "error: VM dispatch regressed (table core < ${dispatch_bar}x" \
-       "reference) - see BENCH_vm.json" >&2
-  exit 1
-}
-echo "vm dispatch OK (table core >= ${dispatch_bar}x reference)"
+' "${script_dir}/BENCH_vm.json" > /dev/null; then
+  echo "vm dispatch OK (table core >= ${dispatch_bar}x reference)"
+else
+  gate_failed "vm dispatch" \
+    "VM dispatch regressed (table core < ${dispatch_bar}x" \
+    "reference) - see BENCH_vm.json"
+fi
 
 # Superinstruction-fusion gate, tiered like the queue-sharding gate
 # below: on a host with real parallelism headroom (>= 4 CPUs) and a full
@@ -281,7 +299,7 @@ else
   fusion_filter='$fused >= $table / 1.5'
   fusion_desc="fusion overhead bounded on ${cpus}-CPU host (timer too noisy for a strict win)"
 fi
-jq -e '
+if jq -e '
   ([.benchmarks[]
     | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:0")][0]
       ["steps/s"]) as $table |
@@ -289,12 +307,13 @@ jq -e '
     | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:1")][0]) as $f |
   $f["steps/s"] as $fused |
   $f.fused_sites > 0 and '"${fusion_filter}"'
-' "${script_dir}/BENCH_vm.json" > /dev/null || {
-  echo "error: superinstruction fusion gate failed (${fusion_desc}," \
-       "or fused run engaged zero fusion sites) - see BENCH_vm.json" >&2
-  exit 1
-}
-echo "vm fusion OK (${fusion_desc})"
+' "${script_dir}/BENCH_vm.json" > /dev/null; then
+  echo "vm fusion OK (${fusion_desc})"
+else
+  gate_failed "vm fusion" \
+    "superinstruction fusion gate failed (${fusion_desc}," \
+    "or fused run engaged zero fusion sites) - see BENCH_vm.json"
+fi
 
 jq -r '
   .benchmarks[]
@@ -321,7 +340,7 @@ else
   shard_filter='$s.real_time <= $m.real_time * 1.5'
   shard_desc="sharded overhead bounded on ${cpus}-CPU host (no parallelism to win)"
 fi
-jq -e '
+if jq -e '
   ([.benchmarks[]
     | select(.name ==
         "BM_PipelineExecuteScale/workers:4/shards:1/real_time")][0]) as $m |
@@ -329,12 +348,13 @@ jq -e '
     | select(.name ==
         "BM_PipelineExecuteScale/workers:4/shards:0/real_time")][0]) as $s |
   $s.queue_steals_per_run >= 0 and '"${shard_filter}"'
-' "${script_dir}/BENCH_vm.json" > /dev/null || {
-  echo "error: sharded execute-queue gate failed (${shard_desc}) - see" \
-       "BENCH_vm.json" >&2
-  exit 1
-}
-echo "execute-queue sharding OK (${shard_desc})"
+' "${script_dir}/BENCH_vm.json" > /dev/null; then
+  echo "execute-queue sharding OK (${shard_desc})"
+else
+  gate_failed "execute-queue sharding" \
+    "sharded execute-queue gate failed (${shard_desc}) - see" \
+    "BENCH_vm.json"
+fi
 
 jq -r '
   .benchmarks[]
@@ -359,7 +379,7 @@ jq -r '
 # faulted passes. The p99 added latency must be a real, finite price
 # (> 0: faults genuinely injected; the bound is generous because backoff
 # waits are real wall time on a loaded CI host).
-jq -e '
+if jq -e '
   ([.benchmarks[]
     | select(.name == "BM_PipelineFaults/fault_pct:20/retries:1")][0])
     as $r20 |
@@ -376,22 +396,25 @@ jq -e '
     and $r20.success_rate > $n20.success_rate
     and $r5.success_rate > $n5.success_rate
     and $r20.judge_retries_per_run > 0
-' "${script_dir}/BENCH_faults.json" > /dev/null || {
-  echo "error: resilience gate failed (20% faults with retries must" \
-       "recover >= 95% of files and beat retries-off) - see" \
-       "BENCH_faults.json" >&2
-  exit 1
-}
-jq -e '
+' "${script_dir}/BENCH_faults.json" > /dev/null; then
+  echo "resilience OK (20% faults + retries >= 95% success, beats" \
+       "retries-off)"
+else
+  gate_failed "resilience" \
+    "resilience gate failed (20% faults with retries must" \
+    "recover >= 95% of files and beat retries-off) - see" \
+    "BENCH_faults.json"
+fi
+if jq -e '
   [.benchmarks[] | select(.name | startswith("BM_ClientAddedLatency"))]
   | length > 0 and all(.[]; .p99_added_latency_us > 0)
-' "${script_dir}/BENCH_faults.json" > /dev/null || {
-  echo "error: added-latency probe saw no faults (p99 added latency 0)" \
-       "- see BENCH_faults.json" >&2
-  exit 1
-}
-echo "resilience OK (20% faults + retries >= 95% success, beats" \
-     "retries-off; p99 added latency nonzero)"
+' "${script_dir}/BENCH_faults.json" > /dev/null; then
+  echo "added latency OK (p99 added latency nonzero)"
+else
+  gate_failed "added latency" \
+    "added-latency probe saw no faults (p99 added latency 0)" \
+    "- see BENCH_faults.json"
+fi
 
 jq -r '
   .benchmarks[]
@@ -428,7 +451,7 @@ jq -r '
 # perturb the computation (cold sim-GPU seconds equal across modes to
 # within float summation-order jitter), and the traced run must
 # actually produce spans + a metrics snapshot.
-jq -e '
+if jq -e '
   ([.benchmarks[]
     | select(.name == "BM_PipelineTraced/obs:0")][0]) as $off |
   ([.benchmarks[]
@@ -446,15 +469,16 @@ jq -e '
     and near($traced.sim_gpu_s_cold; $off.sim_gpu_s_cold)
     and $traced.spans_per_run > 0
     and $traced.metric_samples > 0
-' "${script_dir}/BENCH_obs.json" > /dev/null || {
-  echo "error: observability gate failed (detached counter inc not well" \
-       "under an attached one, registry-attached wall > 1.5x detached," \
-       "obs attachment changed sim-GPU accounting, or traced run" \
-       "produced no spans/metrics) - see BENCH_obs.json" >&2
-  exit 1
-}
-echo "observability OK (disabled path stays a branch, sim-GPU identical" \
-     "across modes, traced run produced spans + metrics)"
+' "${script_dir}/BENCH_obs.json" > /dev/null; then
+  echo "observability OK (disabled path stays a branch, sim-GPU identical" \
+       "across modes, traced run produced spans + metrics)"
+else
+  gate_failed "observability" \
+    "observability gate failed (detached counter inc not well" \
+    "under an attached one, registry-attached wall > 1.5x detached," \
+    "obs attachment changed sim-GPU accounting, or traced run" \
+    "produced no spans/metrics) - see BENCH_obs.json"
+fi
 
 jq -r '
   .benchmarks[]
@@ -470,7 +494,7 @@ jq -r '
 # worker, the weighted fair scheduler must keep the spread loose-bounded
 # (max/min completions < 2.5) and starve nobody -- if a tenant ever
 # reads zero completions the WRR cursor or the per-tenant queues broke.
-jq -e '
+if jq -e '
   ([.benchmarks[]
     | select(.name == "BM_ServeClosedLoop/clients:1/real_time")][0])
     as $c1 |
@@ -484,23 +508,25 @@ jq -e '
     and $c4.completed_per_run == 24
     and ($c1.jobs_per_s > 0 and $c2.jobs_per_s > 0 and $c4.jobs_per_s > 0)
     and ($c1.p99_latency_us > 0 and $c4.p99_latency_us > 0)
-' "${script_dir}/BENCH_serve.json" > /dev/null || {
-  echo "error: serving closed-loop gate failed (lost verdicts, zero" \
-       "throughput, or empty latency tail) - see BENCH_serve.json" >&2
-  exit 1
-}
-jq -e '
+' "${script_dir}/BENCH_serve.json" > /dev/null; then
+  echo "serving closed loop OK (closed loop loses nothing)"
+else
+  gate_failed "serving closed loop" \
+    "serving closed-loop gate failed (lost verdicts, zero" \
+    "throughput, or empty latency tail) - see BENCH_serve.json"
+fi
+if jq -e '
   ([.benchmarks[]
     | select(.name == "BM_ServeFairness/tenants:3/real_time")][0]) as $f |
   $f.tenant_min_completed > 0
     and $f.fairness_ratio > 0 and $f.fairness_ratio < 2.5
-' "${script_dir}/BENCH_serve.json" > /dev/null || {
-  echo "error: serving fairness gate failed (a tenant starved or the" \
-       "completion spread exceeded 2.5x) - see BENCH_serve.json" >&2
-  exit 1
-}
-echo "serving OK (closed loop loses nothing, 3-tenant spread < 2.5x," \
-     "nobody starved)"
+' "${script_dir}/BENCH_serve.json" > /dev/null; then
+  echo "serving fairness OK (3-tenant spread < 2.5x, nobody starved)"
+else
+  gate_failed "serving fairness" \
+    "serving fairness gate failed (a tenant starved or the" \
+    "completion spread exceeded 2.5x) - see BENCH_serve.json"
+fi
 
 jq -r '
   .benchmarks[]
@@ -521,7 +547,7 @@ jq -r '
 # than one on unread code, at the same simulated price (the counters are
 # per-iteration means, equal up to summation rounding) -- if not, the
 # memo stopped serving hits or a hit stopped being byte-identical.
-jq -e '
+if jq -e '
   ([.benchmarks[] | select(.name == "BM_SimulatedJudgeCallMiss")][0])
     as $miss |
   ([.benchmarks[] | select(.name == "BM_SimulatedJudgeCallHit")][0])
@@ -529,9 +555,18 @@ jq -e '
   def near($a; $b): ($a - $b | if . < 0 then -. else . end) < 1e-6;
   $hit.real_time < $miss.real_time
     and near($hit.sim_latency_s; $miss.sim_latency_s)
-' "${script_dir}/BENCH_llm.json" > /dev/null || {
-  echo "error: perception memo gate failed (hit not cheaper than miss," \
-       "or their simulated latencies differ) - see BENCH_llm.json" >&2
+' "${script_dir}/BENCH_llm.json" > /dev/null; then
+  echo "perception memo OK (hit cheaper than miss, same simulated price)"
+else
+  gate_failed "perception memo" \
+    "perception memo gate failed (hit not cheaper than miss," \
+    "or their simulated latencies differ) - see BENCH_llm.json"
+fi
+
+echo
+if [[ ${#failed_gates[@]} -gt 0 ]]; then
+  failed_list="$(printf '%s, ' "${failed_gates[@]}")"
+  echo "error: ${#failed_gates[@]} gate(s) failed: ${failed_list%, }" >&2
   exit 1
-}
-echo "perception memo OK (hit cheaper than miss, same simulated price)"
+fi
+echo "all gates passed"

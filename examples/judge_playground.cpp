@@ -169,9 +169,9 @@ int main(int argc, char** argv) {
                    cache_file.c_str(), load.cold_start_reason.c_str());
     } else {
       std::fprintf(report,
-                   "cache: %s loaded %zu records (%zu corrupt lines "
+                   "cache: %s loaded %zu records (%zu corrupt records "
                    "skipped)\n\n",
-                   cache_file.c_str(), load.loaded, load.corrupt_lines);
+                   cache_file.c_str(), load.loaded, load.corrupt_records);
     }
     if (metrics_dump) store->register_metrics(registry, "cache.store");
   }

@@ -1,53 +1,171 @@
 #include "cache/artifact_store.hpp"
 
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <stdexcept>
 
 #include "obs/registry.hpp"
-#include "support/jsonl.hpp"
-#include "support/strings.hpp"
 
 namespace llm4vv::cache {
 
 namespace {
 
-constexpr const char* kMagic = "llm4vv-artifact-store";
-constexpr int kFormat = 1;
+/// PNG-style signature: the high first byte catches 7-bit transfers, and
+/// the CR LF and the lone LF catch line-ending conversion either way. A
+/// format-1 (JSONL) file starts with '{'.
+constexpr std::string_view kMagic("\x89L4VV-AS\r\n\x1a\n", 12);
+constexpr std::uint32_t kFormat = 2;
 
-std::string hex16(std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
+/// A record is `u32 size | u64 key | u64 check | ns | fields | u64 checksum`;
+/// `size` counts the bytes between itself and the checksum.
+constexpr std::size_t kSizeBytes = 4;
+constexpr std::size_t kIdBytes = 16;  ///< key and check
+constexpr std::size_t kChecksumBytes = 8;
+
+void append_u32(std::string& out, std::uint32_t value) {
+  const char bytes[4] = {static_cast<char>(value), static_cast<char>(value >> 8),
+                         static_cast<char>(value >> 16),
+                         static_cast<char>(value >> 24)};
+  out.append(bytes, sizeof(bytes));
 }
 
-bool parse_hex16(const std::string& text, std::uint64_t& out) {
-  if (text.empty() || text.size() > 16) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    const int digit = support::hex_digit_value(c);
-    if (digit < 0) return false;
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
-  }
-  out = value;
+void append_u64(std::string& out, std::uint64_t value) {
+  append_u32(out, static_cast<std::uint32_t>(value));
+  append_u32(out, static_cast<std::uint32_t>(value >> 32));
+}
+
+void append_string(std::string& out, std::string_view text) {
+  append_u32(out, static_cast<std::uint32_t>(text.size()));
+  out.append(text);
+}
+
+std::uint32_t load_u32(const char* p) {
+  const auto byte = [p](int i) {
+    return static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]));
+  };
+  return byte(0) | byte(1) << 8 | byte(2) << 16 | byte(3) << 24;
+}
+
+std::uint64_t load_u64(const char* p) {
+  return load_u32(p) | static_cast<std::uint64_t>(load_u32(p + 4)) << 32;
+}
+
+/// Splits the next length-prefixed string off the front of `rest`; false,
+/// with `rest` unchanged, when `rest` is too short to hold it.
+bool take_string(std::string_view& rest, std::string_view& out) {
+  if (rest.size() < 4) return false;
+  const std::size_t length = load_u32(rest.data());
+  if (rest.size() - 4 < length) return false;
+  out = rest.substr(4, length);
+  rest.remove_prefix(4 + length);
   return true;
 }
 
-const std::string* get_string(
-    const std::map<std::string, support::JsonValue>& object,
-    const char* key) {
-  const auto it = object.find(key);
-  if (it == object.end() || !it->second.is_string()) return nullptr;
-  return &it->second.string;
+/// 64-bit checksum of a record's bytes, read eight at a time. Each step
+/// h = rotl((h ^ w) * K, 31) is a bijection of h for a fixed word and of
+/// the word for a fixed h, so bytes that differ from the saved ones in a
+/// single word (any one flipped bit) always change the checksum.
+std::uint64_t checksum(std::string_view bytes) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;  // odd
+  std::uint64_t h = bytes.size();
+  const char* p = bytes.data();
+  std::size_t left = bytes.size();
+  for (; left >= 8; p += 8, left -= 8) {
+    h = std::rotl((h ^ load_u64(p)) * kMul, 31);
+  }
+  std::uint64_t tail = 0;
+  for (std::size_t i = 0; i < left; ++i) {
+    tail |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+            << (8 * i);
+  }
+  return std::rotl((h ^ tail) * kMul, 31);
 }
 
-/// Tolerate CRLF files: getline leaves the '\r', which would otherwise
-/// read as trailing garbage and cold-start the whole store.
-void strip_cr(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
+std::string encode_header(const StoreFingerprint& fingerprint) {
+  std::string out(kMagic);
+  append_u32(out, kFormat);
+  append_string(out, fingerprint.corpus);
+  append_string(out, fingerprint.model);
+  append_u64(out, fingerprint.seed);
+  return out;
+}
+
+std::string encode_record(std::string_view ns, std::uint64_t key,
+                          std::uint64_t check,
+                          const ArtifactStore::Fields& fields) {
+  std::size_t size = kIdBytes + 4 + ns.size();
+  for (const auto& [name, value] : fields) {
+    size += 8 + name.size() + value.size();
+  }
+  if (size > UINT32_MAX) {
+    throw std::length_error("artifact store: record larger than 4 GiB");
+  }
+  std::string out;
+  out.reserve(kSizeBytes + size + kChecksumBytes);
+  append_u32(out, static_cast<std::uint32_t>(size));
+  append_u64(out, key);
+  append_u64(out, check);
+  append_string(out, ns);
+  for (const auto& [name, value] : fields) {
+    append_string(out, name);
+    append_string(out, value);
+  }
+  append_u64(out, checksum(out));
+  return out;
+}
+
+/// Length of the record at the front of `rest` when its size fits in
+/// `rest`, its checksum matches, and its strings (the namespace, then
+/// name/value pairs) tile its body exactly; 0 when a check fails.
+std::size_t checked_record_length(std::string_view rest) {
+  if (rest.size() < kSizeBytes) return 0;
+  const std::size_t size = load_u32(rest.data());
+  if (size < kIdBytes || rest.size() - kSizeBytes < size + kChecksumBytes) {
+    return 0;
+  }
+  const std::size_t summed = kSizeBytes + size;
+  if (checksum(rest.substr(0, summed)) != load_u64(rest.data() + summed)) {
+    return 0;
+  }
+  std::string_view strings = rest.substr(kSizeBytes + kIdBytes, size - kIdBytes);
+  std::size_t count = 0;
+  for (std::string_view text; take_string(strings, text);) ++count;
+  if (!strings.empty() || count % 2 == 0) return 0;
+  return summed + kChecksumBytes;
+}
+
+/// The namespace and the field strings of a checked record.
+struct RecordParts {
+  std::uint64_t key = 0;
+  std::uint64_t check = 0;
+  std::string_view ns;
+  std::string_view fields;
+};
+
+RecordParts split_record(std::string_view record) {
+  RecordParts parts;
+  parts.key = load_u64(record.data() + kSizeBytes);
+  parts.check = load_u64(record.data() + kSizeBytes + 8);
+  parts.fields = record.substr(kSizeBytes + kIdBytes,
+                               record.size() - kSizeBytes - kIdBytes -
+                                   kChecksumBytes);
+  take_string(parts.fields, parts.ns);
+  return parts;
+}
+
+ArtifactStore::Fields decode_fields(std::string_view record) {
+  std::string_view rest = split_record(record).fields;
+  ArtifactStore::Fields fields;
+  std::string_view name;
+  std::string_view value;
+  // Fields were encoded from a std::map, so they arrive sorted.
+  while (take_string(rest, name) && take_string(rest, value)) {
+    fields.emplace_hint(fields.end(), name, value);
+  }
+  return fields;
 }
 
 }  // namespace
@@ -65,102 +183,67 @@ bool parse_int_field(const std::string& text, std::int64_t& value) {
   return end != text.c_str() && *end == '\0' && errno != ERANGE;
 }
 
+std::size_t ArtifactStore::RecordIdHash::operator()(
+    const RecordId& id) const noexcept {
+  return static_cast<std::size_t>(id.key) ^ std::hash<std::string>{}(id.ns);
+}
+
 ArtifactStore::ArtifactStore(ArtifactStoreConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), header_(encode_header(config_.fingerprint)) {
   if (config_.max_records == 0) config_.max_records = 1;
   load_file();
 }
 
-std::string ArtifactStore::map_key(std::string_view ns, std::uint64_t key) {
-  std::string combined(ns);
-  combined.push_back('\0');
-  combined += hex16(key);
-  return combined;
-}
-
 void ArtifactStore::load_file() {
   if (config_.path.empty()) return;
-  std::ifstream in(config_.path);
+  std::ifstream in(config_.path, std::ios::binary | std::ios::ate);
   if (!in.is_open()) return;  // fresh file: nothing to load, not an error
+  load_report_.attempted = true;
+  const auto cold_start = [this](const char* reason) {
+    load_report_.cold_start = true;
+    load_report_.cold_start_reason = reason;
+    std::string().swap(file_);
+  };
+
+  // One sized read; the records indexed below view into this buffer.
+  const std::streamoff size = in.tellg();
+  if (size > 0) {
+    file_.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(file_.data(), size);
+    if (!in) return cold_start("cannot read file");
+  }
+  // The header encodes the fingerprint with length prefixes, so a file
+  // holds this store's fingerprint exactly when it starts with header_.
+  std::string_view rest = file_;
+  if (rest.empty()) return cold_start("empty file (no header)");
+  if (!rest.starts_with(std::string_view(header_).substr(
+          0, kMagic.size() + 4))) {
+    return cold_start("wrong magic or format version");
+  }
+  if (!rest.starts_with(header_)) {
+    return cold_start(
+        "fingerprint mismatch (corpus/model/seed changed) or cut header; "
+        "cold start");
+  }
+  rest.remove_prefix(header_.size());
+
   // Constructor context: uncontended, taken to satisfy the GUARDED_BY
   // discipline on records_/order_ (insert_locked requires it).
   support::WriterLock lock(mutex_);
-  load_report_.attempted = true;
-
-  std::string line;
-  if (!std::getline(in, line)) {
-    load_report_.cold_start = true;
-    load_report_.cold_start_reason = "empty file (no header)";
-    return;
-  }
-  strip_cr(line);
-  const auto header = support::parse_json_object_line(line);
-  if (!header) {
-    load_report_.cold_start = true;
-    load_report_.cold_start_reason = "unparseable header line";
-    return;
-  }
-  const std::string* magic = get_string(*header, "magic");
-  const auto format = header->find("format");
-  if (magic == nullptr || *magic != kMagic || format == header->end() ||
-      !format->second.is_number() ||
-      static_cast<int>(format->second.number) != kFormat) {
-    load_report_.cold_start = true;
-    load_report_.cold_start_reason = "wrong magic or format version";
-    return;
-  }
-  const std::string* corpus = get_string(*header, "corpus");
-  const std::string* model = get_string(*header, "model");
-  const std::string* seed_hex = get_string(*header, "seed");
-  std::uint64_t seed = 0;
-  if (corpus == nullptr || model == nullptr || seed_hex == nullptr ||
-      !parse_hex16(*seed_hex, seed)) {
-    load_report_.cold_start = true;
-    load_report_.cold_start_reason = "header missing fingerprint fields";
-    return;
-  }
-  const StoreFingerprint found{*corpus, *model, seed};
-  if (!(found == config_.fingerprint)) {
-    load_report_.cold_start = true;
-    load_report_.cold_start_reason =
-        "fingerprint mismatch (corpus/model/seed changed); cold start";
-    return;
-  }
-
-  while (std::getline(in, line)) {
-    strip_cr(line);
-    if (support::trim(line).empty()) continue;
-    const auto object = support::parse_json_object_line(line);
-    if (!object) {
-      ++load_report_.corrupt_lines;
-      continue;
+  while (!rest.empty()) {
+    const std::size_t length = checked_record_length(rest);
+    if (length == 0) {
+      // The record's length cannot be trusted, so nothing after it can be
+      // found: the damaged tail counts as one record.
+      load_report_.corrupt_records = 1;
+      break;
     }
-    const std::string* ns = get_string(*object, "ns");
-    const std::string* key_hex = get_string(*object, "key");
-    const std::string* check_hex = get_string(*object, "check");
-    std::uint64_t key = 0;
-    std::uint64_t check = 0;
-    if (ns == nullptr || key_hex == nullptr || check_hex == nullptr ||
-        !parse_hex16(*key_hex, key) || !parse_hex16(*check_hex, check)) {
-      ++load_report_.corrupt_lines;
-      continue;
-    }
-    Fields fields;
-    bool bad_field = false;
-    for (const auto& [name, value] : *object) {
-      if (!support::starts_with(name, "f_")) continue;
-      if (!value.is_string()) {
-        bad_field = true;
-        break;
-      }
-      fields.emplace(name.substr(2), value.string);
-    }
-    if (bad_field) {
-      ++load_report_.corrupt_lines;
-      continue;
-    }
-    insert_locked(*ns, key, check, std::move(fields));
+    const std::string_view record = rest.substr(0, length);
+    const RecordParts parts = split_record(record);
+    insert_locked(parts.ns, parts.key, Record{parts.check, record, {}});
     ++load_report_.loaded;
+    rest.remove_prefix(length);
   }
   // Constructor runs single-threaded; discount the load's bookkeeping
   // (puts and any compaction of an over-full file against a smaller
@@ -173,30 +256,20 @@ std::optional<ArtifactStore::Fields> ArtifactStore::get(
     std::string_view ns, std::uint64_t key, std::uint64_t check) const {
   support::ReaderLock lock(mutex_);
   gets_.fetch_add(1, std::memory_order_relaxed);
-  const auto it = records_.find(map_key(ns, key));
+  const auto it = records_.find(RecordId{std::string(ns), key});
   if (it == records_.end() || it->second.check != check) return std::nullopt;
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.fields;
+  return decode_fields(it->second.bytes());
 }
 
 void ArtifactStore::insert_locked(std::string_view ns, std::uint64_t key,
-                                  std::uint64_t check, Fields fields) {
-  std::string mk = map_key(ns, key);
-  const auto it = records_.find(mk);
-  if (it != records_.end()) {
-    it->second.check = check;
-    it->second.fields = std::move(fields);
-    return;
-  }
-  Record record;
-  record.ns = std::string(ns);
-  record.key = key;
-  record.check = check;
-  record.fields = std::move(fields);
-  records_.emplace(mk, std::move(record));
-  order_.push_back(std::move(mk));
+                                  Record record) {
+  const auto [it, fresh] = records_.try_emplace(RecordId{std::string(ns), key});
+  it->second = std::move(record);
+  if (!fresh) return;
+  order_.push_back(&*it);
   while (records_.size() > config_.max_records) {
-    records_.erase(order_.front());
+    records_.erase(records_.find(order_.front()->first));
     order_.pop_front();
     ++compactions_;
   }
@@ -205,8 +278,9 @@ void ArtifactStore::insert_locked(std::string_view ns, std::uint64_t key,
 
 void ArtifactStore::put(std::string_view ns, std::uint64_t key,
                         std::uint64_t check, Fields fields) {
+  std::string record = encode_record(ns, key, check, fields);
   support::WriterLock lock(mutex_);
-  insert_locked(ns, key, check, std::move(fields));
+  insert_locked(ns, key, Record{check, {}, std::move(record)});
 }
 
 bool ArtifactStore::save() {
@@ -215,36 +289,21 @@ bool ArtifactStore::save() {
   // Savers serialize on their own mutex for the whole snapshot+write+rename
   // sequence: two concurrent save() calls would otherwise interleave writes
   // into the shared `<path>.tmp` and publish a garbled file. With savers
-  // serialized here, the render below only reads the map, so it takes the
+  // serialized here, the copy below only reads the map, so it takes the
   // shared lock: the judge and compile caches read through get() on every
   // memo miss, and a save must not stall them. Only put() waits.
   support::MutexLock save_lock(save_mutex_);
 
-  // Render the snapshot under the lock, write it outside: a slow disk never
-  // blocks writers longer than the serialization itself.
-  std::ostringstream out;
+  // Copy the snapshot under the lock, write it outside: a slow disk never
+  // blocks writers longer than the copy itself.
+  std::string out;
   {
     support::ReaderLock lock(mutex_);
-    support::JsonObject header;
-    header.field("magic", std::string(kMagic))
-        .field("format", static_cast<std::int64_t>(kFormat))
-        .field("corpus", config_.fingerprint.corpus)
-        .field("model", config_.fingerprint.model)
-        .field("seed", hex16(config_.fingerprint.seed));
-    out << header.str() << '\n';
-    for (const auto& mk : order_) {
-      const auto it = records_.find(mk);
-      if (it == records_.end()) continue;
-      const Record& record = it->second;
-      support::JsonObject line;
-      line.field("ns", record.ns)
-          .field("key", hex16(record.key))
-          .field("check", hex16(record.check));
-      for (const auto& [name, value] : record.fields) {
-        line.field("f_" + name, value);
-      }
-      out << line.str() << '\n';
-    }
+    std::size_t total = header_.size();
+    for (const auto* entry : order_) total += entry->second.bytes().size();
+    out.reserve(total);
+    out += header_;
+    for (const auto* entry : order_) out += entry->second.bytes();
   }
 
   const std::string temp = config_.path + ".tmp";
@@ -255,7 +314,7 @@ bool ArtifactStore::save() {
       last_error_ = "cannot open temp file: " + temp;
       return false;
     }
-    file << out.str();
+    file.write(out.data(), static_cast<std::streamsize>(out.size()));
     file.flush();
     if (!file.good()) {
       support::WriterLock lock(mutex_);

@@ -32,7 +32,7 @@ struct StoreFingerprint {
 };
 
 struct ArtifactStoreConfig {
-  /// Backing JSONL file. Empty selects a purely in-memory store (save() is
+  /// Backing store file. Empty selects a purely in-memory store (save() is
   /// then a no-op) — useful for tests and for sharing one process-wide
   /// cache between pipeline runs without touching disk.
   std::string path;
@@ -47,8 +47,12 @@ struct StoreLoadReport {
   bool attempted = false;   ///< path was non-empty and the file existed
   bool cold_start = false;  ///< header missing/mismatched: contents ignored
   std::string cold_start_reason;
-  std::size_t loaded = 0;         ///< records accepted
-  std::size_t corrupt_lines = 0;  ///< lines skipped (truncated tail etc.)
+  std::size_t loaded = 0;  ///< records accepted
+  /// Damaged records skipped: 1 when the file ends in a record that fails
+  /// a check (a tail cut by a crash, garbage, a flipped bit), else 0. The
+  /// length of a failed record cannot be trusted, so everything from it to
+  /// the end of the file counts as that one record.
+  std::size_t corrupt_records = 0;
 };
 
 struct ArtifactStoreStats {
@@ -60,7 +64,8 @@ struct ArtifactStoreStats {
   std::uint64_t saves = 0;
 };
 
-/// Persistent content-addressed artifact store (JSON Lines on disk).
+/// Persistent content-addressed artifact store (length-prefixed binary
+/// records on disk).
 ///
 /// Keys are (namespace, 64-bit key, 64-bit check): the key is whatever mix
 /// of inputs the client computes (e.g. the judge's cache key), the check is
@@ -68,17 +73,20 @@ struct ArtifactStoreStats {
 /// degrades to a miss instead of a wrong artifact. Values are flat
 /// string->string field maps; clients own their own field encoding.
 ///
-/// File format — line 1 is a versioned header carrying the fingerprint:
-///   {"magic":"llm4vv-artifact-store","format":1,"corpus":...,"model":...,
-///    "seed":"<hex>"}
-/// then one record per line:
-///   {"ns":"judge","key":"<hex16>","check":"<hex16>","f_<name>":"...",...}
-/// A header mismatch cold-starts the store; unparseable record lines (e.g.
-/// a tail truncated by a crash mid-write) are skipped and counted. save()
-/// writes the whole store to `<path>.tmp` and renames it over `path`, so a
-/// reader never observes a half-written file.
+/// File format 2 (integers little-endian; docs/CACHING.md has the layout):
+/// a header of magic, format number and fingerprint, then records of
+///   u32 size | u64 key | u64 check | ns | fields... | u64 checksum
+/// where every string is a u32 length and its bytes, and the checksum
+/// covers the record's bytes from `size` on. Open reads the file in one
+/// read and indexes each record whose length, checksum and inner lengths
+/// check out, without decoding its fields; get() decodes one record. A
+/// header mismatch (another format, including the JSONL format 1, or
+/// another fingerprint) cold-starts the store; the first record that fails
+/// a check ends the load and is counted. save() copies the held record
+/// bytes to `<path>.tmp` and renames it over `path`, so a reader never
+/// observes a half-written file.
 ///
-/// Thread-safe: get() and save()'s snapshot render take a shared lock
+/// Thread-safe: get() and save()'s snapshot copy take a shared lock
 /// (concurrent readers never serialize, and a save never stalls them),
 /// put() takes the exclusive lock.
 class ArtifactStore {
@@ -118,30 +126,46 @@ class ArtifactStore {
   std::string last_error() const;
 
  private:
-  struct Record {
+  struct RecordId {
     std::string ns;
     std::uint64_t key = 0;
-    std::uint64_t check = 0;
-    Fields fields;
+    bool operator==(const RecordId&) const = default;
   };
-
-  static std::string map_key(std::string_view ns, std::uint64_t key);
+  struct RecordIdHash {
+    std::size_t operator()(const RecordId& id) const noexcept;
+  };
+  /// One encoded record, size field through checksum.
+  struct Record {
+    std::uint64_t check = 0;
+    std::string_view loaded;  ///< into `file_`, for a record open indexed
+    std::string owned;        ///< for a record put() encoded
+    std::string_view bytes() const {
+      return owned.empty() ? loaded : std::string_view(owned);
+    }
+  };
+  using Records = std::unordered_map<RecordId, Record, RecordIdHash>;
 
   void load_file() EXCLUDES(mutex_);
   /// Insert shared by load_file() and put(); expects the writer lock held.
-  void insert_locked(std::string_view ns, std::uint64_t key,
-                     std::uint64_t check, Fields fields) REQUIRES(mutex_);
+  void insert_locked(std::string_view ns, std::uint64_t key, Record record)
+      REQUIRES(mutex_);
 
   ArtifactStoreConfig config_;
   StoreLoadReport load_report_;
+  /// The encoded header save() writes; fixed by the fingerprint.
+  std::string header_;
+  /// The backing file as open read it. Written only by the constructor;
+  /// loaded records view into it for the store's lifetime.
+  std::string file_;
 
   mutable support::SharedMutex mutex_;
   /// Serializes whole save() calls (snapshot + temp write + rename); see
   /// save() for why this cannot ride on `mutex_`.
   support::Mutex save_mutex_;
-  std::unordered_map<std::string, Record> records_ GUARDED_BY(mutex_);
-  /// Insertion order for compaction.
-  std::deque<std::string> order_ GUARDED_BY(mutex_);
+  Records records_ GUARDED_BY(mutex_);
+  /// Compaction order, oldest first. Pointers into `records_` stay valid
+  /// across rehashing until their element is erased.
+  std::deque<Records::value_type*> order_ GUARDED_BY(mutex_);
   std::string last_error_ GUARDED_BY(mutex_);
 
   mutable std::atomic<std::uint64_t> gets_{0};

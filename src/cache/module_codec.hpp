@@ -15,7 +15,7 @@ namespace llm4vv::cache {
 /// — diagnostics AND the lowered module — or the front-end cannot actually
 /// be skipped; these codecs carry both. The encoding is whitespace-
 /// separated tokens (strings hex-encoded, doubles as IEEE bit patterns),
-/// chosen so a record embeds losslessly inside one JSONL string field.
+/// stored as one field of a compile record.
 ///
 /// decode_* returns std::nullopt on any malformed or out-of-range token:
 /// a corrupted record degrades to a cache miss, never to undefined

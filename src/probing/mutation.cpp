@@ -397,18 +397,6 @@ std::optional<std::string> remove_last_block(const std::string& source,
 
 }  // namespace
 
-const char* issue_name(IssueType issue) noexcept {
-  switch (issue) {
-    case IssueType::kRemovedAllocOrSwappedDirective: return "alloc/directive";
-    case IssueType::kRemovedOpeningBracket: return "open-bracket";
-    case IssueType::kUndeclaredVariable: return "undeclared-var";
-    case IssueType::kReplacedWithPlainCode: return "plain-code";
-    case IssueType::kRemovedLastBracketedSection: return "last-block";
-    case IssueType::kNoIssue: return "no-issue";
-  }
-  return "?";
-}
-
 std::string issue_row_label(IssueType issue, frontend::Flavor flavor) {
   const std::string model =
       flavor == frontend::Flavor::kOpenACC ? "ACC" : "OMP";

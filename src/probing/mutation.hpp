@@ -19,9 +19,6 @@ enum class IssueType {
   kNoIssue = 5,
 };
 
-/// Short names matching the paper's table rows.
-const char* issue_name(IssueType issue) noexcept;
-
 /// Long row labels as printed in Tables I/II/IV/V/VII/VIII.
 std::string issue_row_label(IssueType issue, frontend::Flavor flavor);
 

@@ -66,9 +66,9 @@ struct JsonValue {
 };
 
 /// Parse one JSON object line (the complement of JsonObject::str). Returns
-/// std::nullopt on any syntax error — a truncated tail line in a JSONL file
-/// parses as "not an object" rather than throwing, which is what lets the
-/// artifact store skip corrupt records and keep loading. Duplicate keys keep
+/// std::nullopt on any syntax error — a truncated line parses as "not an
+/// object" rather than throwing, so a reader can reject it and go on.
+/// Duplicate keys keep
 /// the last value. Nested objects/arrays are rejected (the writer never
 /// produces them).
 std::optional<std::map<std::string, JsonValue>> parse_json_object_line(

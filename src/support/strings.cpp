@@ -130,18 +130,6 @@ std::string replace_all(std::string_view text, std::string_view from,
   }
 }
 
-std::string indent(std::string_view text, int spaces) {
-  const std::string pad(static_cast<std::size_t>(spaces > 0 ? spaces : 0),
-                        ' ');
-  std::string out;
-  bool at_line_start = true;
-  for (const char c : text) {
-    if (at_line_start && c != '\n') out.append(pad);
-    at_line_start = (c == '\n');
-    out.push_back(c);
-  }
-  return out;
-}
 
 int hex_digit_value(char c) noexcept {
   if (c >= '0' && c <= '9') return c - '0';

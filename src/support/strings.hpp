@@ -42,12 +42,9 @@ std::string to_lower(std::string_view text);
 std::string replace_all(std::string_view text, std::string_view from,
                         std::string_view to);
 
-/// Indent every line of `text` by `spaces` spaces (including the first).
-std::string indent(std::string_view text, int spaces);
-
 /// Value of one hex digit (accepts both cases), or -1 when `c` is not a
-/// hex digit. The single nibble decoder shared by the JSONL reader, the
-/// artifact store's key parsing, and the module codec.
+/// hex digit. The single nibble decoder shared by the JSONL reader and the
+/// module codec.
 int hex_digit_value(char c) noexcept;
 
 /// Format a double with fixed decimals, e.g. format_fixed(0.5666, 2) == "0.57".

@@ -10,32 +10,13 @@ TextTable::TextTable(std::vector<std::string> header)
   if (header_.empty()) {
     throw std::invalid_argument("TextTable: header must be non-empty");
   }
-  alignments_.assign(header_.size(), Align::kRight);
-  alignments_.front() = Align::kLeft;
-}
-
-void TextTable::set_alignments(std::vector<Align> alignments) {
-  if (alignments.size() != header_.size()) {
-    throw std::invalid_argument("TextTable: alignment count mismatch");
-  }
-  alignments_ = std::move(alignments);
 }
 
 void TextTable::add_row(std::vector<std::string> row) {
   if (row.size() != header_.size()) {
     throw std::invalid_argument("TextTable: row width mismatch");
   }
-  rows_.push_back(Row{std::move(row), false});
-}
-
-void TextTable::add_rule() { rows_.push_back(Row{{}, true}); }
-
-std::size_t TextTable::row_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& row : rows_) {
-    if (!row.rule) ++n;
-  }
-  return n;
+  rows_.push_back(std::move(row));
 }
 
 std::string TextTable::render() const {
@@ -44,9 +25,8 @@ std::string TextTable::render() const {
     widths[c] = header_[c].size();
   }
   for (const auto& row : rows_) {
-    if (row.rule) continue;
-    for (std::size_t c = 0; c < row.cells.size(); ++c) {
-      widths[c] = std::max(widths[c], row.cells[c].size());
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      widths[c] = std::max(widths[c], row[c].size());
     }
   }
 
@@ -65,9 +45,9 @@ std::string TextTable::render() const {
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const std::size_t pad = widths[c] - cells[c].size();
       line.push_back(' ');
-      if (alignments_[c] == Align::kRight) line.append(pad, ' ');
+      if (c > 0) line.append(pad, ' ');
       line.append(cells[c]);
-      if (alignments_[c] == Align::kLeft) line.append(pad, ' ');
+      if (c == 0) line.append(pad, ' ');
       line.append(" |");
     }
     line.push_back('\n');
@@ -77,9 +57,7 @@ std::string TextTable::render() const {
   std::string out = rule_line;
   out += render_cells(header_);
   out += rule_line;
-  for (const auto& row : rows_) {
-    out += row.rule ? rule_line : render_cells(row.cells);
-  }
+  for (const auto& row : rows_) out += render_cells(row);
   out += rule_line;
   return out;
 }

@@ -6,9 +6,6 @@
 
 namespace llm4vv::support {
 
-/// Column alignment for TextTable rendering.
-enum class Align { kLeft, kRight };
-
 /// Plain-text table renderer used by every bench binary to print the paper's
 /// tables (Tables I-IX) side by side with measured values.
 ///
@@ -21,30 +18,16 @@ class TextTable {
   /// Create a table with the given header row.
   explicit TextTable(std::vector<std::string> header);
 
-  /// Set per-column alignment (default: first column left, rest right).
-  void set_alignments(std::vector<Align> alignments);
-
   /// Append a data row; must have the same number of cells as the header.
   void add_row(std::vector<std::string> row);
 
-  /// Append a horizontal rule between row groups.
-  void add_rule();
-
-  /// Render with unicode-free ASCII box drawing.
+  /// Render with unicode-free ASCII box drawing: the first column
+  /// left-aligned, the rest right-aligned.
   std::string render() const;
 
-  /// Number of data rows added so far (rules excluded).
-  std::size_t row_count() const noexcept;
-
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool rule = false;
-  };
-
   std::vector<std::string> header_;
-  std::vector<Align> alignments_;
-  std::vector<Row> rows_;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 /// Render a one-line section banner, e.g. "== Table I: ... ==".

@@ -1,7 +1,7 @@
-// The persistent artifact store and its building blocks: the JSONL
-// object-line reader, the module/diagnostic codecs, and the store's
-// header/fingerprint, corruption-tolerance, compaction, and concurrency
-// contracts, down to a file truncated at every byte offset and read
+// The persistent artifact store and its building blocks: the
+// module/diagnostic codecs, and the store's header/fingerprint,
+// corruption-tolerance, compaction, and concurrency contracts, down to a
+// file truncated, or with one bit flipped, at every byte offset and read
 // through by the judge and compile caches.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <fstream>
 #include <thread>
 
@@ -19,15 +18,11 @@
 #include "corpus/generator.hpp"
 #include "judge/judge.hpp"
 #include "llm/coder_model.hpp"
-#include "support/jsonl.hpp"
 #include "tests/test_util.hpp"
 #include "toolchain/executor.hpp"
 
 namespace llm4vv::cache {
 namespace {
-
-using support::JsonValue;
-using support::parse_json_object_line;
 
 using testutil::TempFile;
 
@@ -36,62 +31,6 @@ ArtifactStoreConfig store_config(const std::string& path) {
   config.path = path;
   config.fingerprint = StoreFingerprint{"corpus-a", "model-x", 7};
   return config;
-}
-
-// ---------------------------------------------------------------------------
-// JSONL reader
-// ---------------------------------------------------------------------------
-
-TEST(JsonlReaderTest, ParsesScalarsOfEveryKind) {
-  const auto object = parse_json_object_line(
-      R"({"s":"hi","i":42,"d":-1.5e3,"t":true,"f":false,"n":null})");
-  ASSERT_TRUE(object.has_value());
-  EXPECT_EQ(object->at("s").string, "hi");
-  EXPECT_DOUBLE_EQ(object->at("i").number, 42.0);
-  EXPECT_DOUBLE_EQ(object->at("d").number, -1500.0);
-  EXPECT_TRUE(object->at("t").boolean);
-  EXPECT_FALSE(object->at("f").boolean);
-  EXPECT_EQ(object->at("n").kind, JsonValue::Kind::kNull);
-}
-
-TEST(JsonlReaderTest, RoundTripsTheWriterIncludingEscapes) {
-  support::JsonObject writer;
-  const std::string nasty = "line1\nline2\t\"quoted\" back\\slash \x01 end";
-  writer.field("text", nasty).field("count", std::int64_t{-3});
-  const auto object = parse_json_object_line(writer.str());
-  ASSERT_TRUE(object.has_value());
-  EXPECT_EQ(object->at("text").string, nasty);
-  EXPECT_DOUBLE_EQ(object->at("count").number, -3.0);
-}
-
-TEST(JsonlReaderTest, FormatDoubleRoundtripIsBitExact) {
-  // The %.17g rule the judge codec persists latencies with: strtod of the
-  // rendering must reproduce the double bit-for-bit.
-  for (const double value :
-       {0.1234567890123456789, 1e-300, 13.55 * 3, -0.0, 1.0 / 3.0}) {
-    const std::string text = support::format_double_roundtrip(value);
-    EXPECT_EQ(std::strtod(text.c_str(), nullptr), value) << text;
-  }
-  EXPECT_EQ(support::format_double_roundtrip(
-                std::numeric_limits<double>::quiet_NaN()),
-            "null");
-}
-
-TEST(JsonlReaderTest, RejectsTruncatedAndMalformedLines) {
-  EXPECT_FALSE(parse_json_object_line(R"({"a":"unterminated)").has_value());
-  EXPECT_FALSE(parse_json_object_line(R"({"a":1)").has_value());
-  EXPECT_FALSE(parse_json_object_line(R"({"a":1} trailing)").has_value());
-  EXPECT_FALSE(parse_json_object_line("not json at all").has_value());
-  EXPECT_FALSE(parse_json_object_line(R"({"a":[1,2]})").has_value());
-  EXPECT_FALSE(parse_json_object_line("").has_value());
-  EXPECT_TRUE(parse_json_object_line("{}").has_value());
-}
-
-TEST(JsonlReaderTest, DecodesUnicodeEscapes) {
-  const auto object =
-      parse_json_object_line("{\"c\":\"\\u0001\\u00e9\"}");
-  ASSERT_TRUE(object.has_value());
-  EXPECT_EQ(object->at("c").string, "\x01\xc3\xa9");  // U+0001, U+00E9
 }
 
 // ---------------------------------------------------------------------------
@@ -243,7 +182,7 @@ TEST(ArtifactStoreTest, SaveThenLoadRoundTripsRecords) {
   EXPECT_TRUE(reloaded.load_report().attempted);
   EXPECT_FALSE(reloaded.load_report().cold_start);
   EXPECT_EQ(reloaded.load_report().loaded, 2u);
-  EXPECT_EQ(reloaded.load_report().corrupt_lines, 0u);
+  EXPECT_EQ(reloaded.load_report().corrupt_records, 0u);
   const auto hit = reloaded.get("judge", 42, 4242);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->at("prompt"), "multi\nline \"text\"");
@@ -268,66 +207,141 @@ TEST(ArtifactStoreTest, FingerprintMismatchColdStarts) {
   EXPECT_FALSE(reloaded.get("judge", 1, 1).has_value());
 }
 
+/// Write `bytes` over the file at `path`.
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << bytes;
+}
+
 TEST(ArtifactStoreTest, TruncatedTailAndGarbageLinesAreSkipped) {
   TempFile file("corrupt");
+  std::string two_records;
+  std::string three_records;
   {
     ArtifactStore store(store_config(file.path()));
     store.put("judge", 1, 10, {{"v", "a"}});
     store.put("judge", 2, 20, {{"v", "b"}});
     ASSERT_TRUE(store.save());
+    two_records = testutil::read_bytes(file.path());
+    store.put("judge", 3, 30, {{"v", "c"}});
+    ASSERT_TRUE(store.save());
+    three_records = testutil::read_bytes(file.path());
   }
-  {
-    // Simulate a crash mid-append: garbage and a truncated record line.
-    std::ofstream out(file.path(), std::ios::app);
-    out << "this is not json\n";
-    out << R"({"ns":"judge","key":"0000000000000003","check":"0000)";
-    // no closing quote/brace/newline: truncated tail
+  ASSERT_GT(three_records.size(), two_records.size());
+  const std::size_t third = three_records.size() - two_records.size();
+  // A crash mid-write leaves the third record cut; garbage is anything
+  // else appended after the valid records.
+  for (const std::string& damaged :
+       {three_records.substr(0, two_records.size() + third / 2),
+        two_records + "this is not a record\n"}) {
+    write_bytes(file.path(), damaged);
+    ArtifactStore reloaded(store_config(file.path()));
+    EXPECT_FALSE(reloaded.load_report().cold_start);
+    EXPECT_EQ(reloaded.load_report().loaded, 2u);
+    EXPECT_EQ(reloaded.load_report().corrupt_records, 1u);
+    EXPECT_EQ(reloaded.get("judge", 1, 10)->at("v"), "a");
+    EXPECT_EQ(reloaded.get("judge", 2, 20)->at("v"), "b");
+    EXPECT_FALSE(reloaded.get("judge", 3, 30).has_value());
   }
-  ArtifactStore reloaded(store_config(file.path()));
-  EXPECT_FALSE(reloaded.load_report().cold_start);
-  EXPECT_EQ(reloaded.load_report().loaded, 2u);
-  EXPECT_EQ(reloaded.load_report().corrupt_lines, 2u);
-  EXPECT_TRUE(reloaded.get("judge", 1, 10).has_value());
-  EXPECT_TRUE(reloaded.get("judge", 2, 20).has_value());
 }
 
-TEST(ArtifactStoreTest, CrlfLineEndingsStillLoad) {
+// A text-mode transfer or an editor can convert the file's LF bytes to
+// CR LF. The header's magic holds CR LF and LF, so a converted file
+// cold-starts; converted record bytes fail their checksum. Neither way is
+// a record served that differs from the saved one.
+TEST(ArtifactStoreTest, CrlfConvertedFileNeverMisServes) {
   TempFile file("crlf");
+  const ArtifactStore::Fields saved[] = {
+      {{"v", "a"}}, {{"v", "line\nbreak"}}, {{"v", "c"}}};
+  std::vector<std::size_t> ends;  // of the header, then of each record
   {
     ArtifactStore store(store_config(file.path()));
-    store.put("judge", 1, 10, {{"v", "a"}});
-    ASSERT_TRUE(store.save());
-  }
-  {
-    // Simulate a Windows checkout / editor converting line endings.
-    std::ifstream in(file.path());
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    in.close();
-    std::string crlf;
-    for (const char c : content) {
-      if (c == '\n') crlf += "\r\n";
-      else crlf.push_back(c);
+    for (std::uint64_t k = 0; k <= 3; ++k) {
+      if (k > 0) store.put("judge", k, k * 100, saved[k - 1]);
+      ASSERT_TRUE(store.save());
+      ends.push_back(std::filesystem::file_size(file.path()));
     }
-    std::ofstream out(file.path(), std::ios::trunc | std::ios::binary);
-    out << crlf;
   }
-  ArtifactStore reloaded(store_config(file.path()));
-  EXPECT_FALSE(reloaded.load_report().cold_start);
-  EXPECT_EQ(reloaded.load_report().loaded, 1u);
-  EXPECT_TRUE(reloaded.get("judge", 1, 10).has_value());
+  const std::string bytes = testutil::read_bytes(file.path());
+  const std::string header = bytes.substr(0, ends[0]);
+  const auto to_crlf = [](std::string_view text) {
+    std::string out;
+    for (const char c : text) {
+      if (c == '\n') out += "\r\n";
+      else out.push_back(c);
+    }
+    return out;
+  };
+  const auto expect_never_mis_served = [&saved](const ArtifactStore& store) {
+    for (std::uint64_t k = 1; k <= 3; ++k) {
+      const auto got = store.get("judge", k, k * 100);
+      if (got) {
+        EXPECT_EQ(*got, saved[k - 1]) << "record " << k;
+      }
+    }
+  };
+
+  write_bytes(file.path(), to_crlf(bytes));
+  {
+    ArtifactStore reloaded(store_config(file.path()));
+    EXPECT_TRUE(reloaded.load_report().cold_start);
+    EXPECT_EQ(reloaded.load_report().cold_start_reason,
+              "wrong magic or format version");
+    EXPECT_EQ(reloaded.size(), 0u);
+    expect_never_mis_served(reloaded);
+  }
+  // Convert only the records: the first record holding an LF byte (the
+  // second record at the latest) is damaged and ends the load; the
+  // records before it still load.
+  std::size_t first_with_lf = 0;
+  while (bytes.find('\n', ends[first_with_lf]) >= ends[first_with_lf + 1]) {
+    ++first_with_lf;
+  }
+  ASSERT_LT(first_with_lf, 2u);
+  write_bytes(file.path(),
+              header + to_crlf(std::string_view(bytes).substr(header.size())));
+  {
+    ArtifactStore reloaded(store_config(file.path()));
+    EXPECT_FALSE(reloaded.load_report().cold_start);
+    EXPECT_EQ(reloaded.load_report().corrupt_records, 1u);
+    EXPECT_EQ(reloaded.load_report().loaded, first_with_lf);
+    expect_never_mis_served(reloaded);
+  }
 }
 
 TEST(ArtifactStoreTest, UnparseableHeaderColdStarts) {
   TempFile file("badheader");
-  {
-    std::ofstream out(file.path());
-    out << "garbage header\n";
-    out << R"({"ns":"judge","key":"01","check":"01","f_v":"x"})" << "\n";
-  }
+  write_bytes(file.path(), "garbage header\n");
   ArtifactStore store(store_config(file.path()));
   EXPECT_TRUE(store.load_report().cold_start);
   EXPECT_EQ(store.size(), 0u);
+}
+
+// A store file in format 1 (JSON Lines), byte for byte as the previous
+// store wrote it for this fingerprint, cold-starts instead of loading.
+TEST(ArtifactStoreTest, FormatOneFileColdStarts) {
+  TempFile file("format1");
+  write_bytes(
+      file.path(),
+      R"({"magic":"llm4vv-artifact-store","format":1,"corpus":"corpus-a",)"
+      R"("model":"model-x","seed":"0000000000000007"})"
+      "\n"
+      R"({"ns":"judge","key":"0000000000000001","check":"000000000000000a",)"
+      R"("f_v":"a"})"
+      "\n");
+  ArtifactStore store(store_config(file.path()));
+  EXPECT_TRUE(store.load_report().attempted);
+  EXPECT_TRUE(store.load_report().cold_start);
+  EXPECT_EQ(store.load_report().cold_start_reason,
+            "wrong magic or format version");
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_FALSE(store.get("judge", 1, 10).has_value());
+  // The next save replaces it with a format-2 file that loads.
+  store.put("judge", 1, 10, {{"v", "a"}});
+  ASSERT_TRUE(store.save());
+  ArtifactStore reloaded(store_config(file.path()));
+  EXPECT_FALSE(reloaded.load_report().cold_start);
+  EXPECT_EQ(reloaded.get("judge", 1, 10)->at("v"), "a");
 }
 
 TEST(ArtifactStoreTest, BoundedSizeCompactsOldestFirst) {
@@ -390,156 +404,228 @@ TEST(ArtifactStoreTest, ConcurrentReadersAndWritersStaySane) {
   EXPECT_EQ(reloaded.size(), 64u);
 }
 
-// A crash can leave the file cut anywhere. Cut a real store (two judge and
-// two compile records) at every byte offset: a cut header cold-starts,
-// every record line present is either loaded or counted corrupt, a loaded
-// record is exactly the saved one, and the judge and compile caches that
-// read through to the store serve exactly the cold decision and compile.
-TEST(ArtifactStoreTest, TruncationAtEveryOffsetNeverMisServes) {
-  const auto client = std::make_shared<llm::ModelClient>(
-      std::make_shared<const llm::SimulatedCoderModel>(), 1);
-  const auto style = llm::PromptStyle::kDirectAnalysis;
-  const auto persona = toolchain::nvc_persona();
-  const auto driver_fp = toolchain::driver_fingerprint(persona);
-  const auto tiny = [](const char* name, const char* content) {
-    frontend::SourceFile file;
-    file.name = name;
-    file.content = content;
-    return file;
+/// A real store written through by the judge and compile caches: the judge
+/// records first, then the compile records, in file order. Each record's
+/// byte range comes from the sizes of saves made after each write, and
+/// its fields from a full load; the cold decisions and compiles are what
+/// a warm cache must reproduce.
+class SavedCaches {
+ public:
+  struct Record {
+    std::size_t begin = 0;  ///< first byte of the record
+    std::size_t end = 0;    ///< one past its last byte
+    testutil::StoredRecordId id;
+    ArtifactStore::Fields fields;
   };
-  const std::vector<frontend::SourceFile> judged = {
-      tiny("a.c", "int main() { return 0; }\n"),
-      tiny("b.c", "int main() { return 1; }\n")};
-  const std::vector<frontend::SourceFile> compiled = {
-      tiny("c.c", "int main() { return 2; }\n"),
-      tiny("d.c", "int main( { return 3; }\n")};  // a failing compile
 
-  // Judge records first, then compile records: the file keeps that order.
-  TempFile file("truncate");
-  std::vector<judge::JudgeDecision> cold_decisions;
-  std::vector<ArtifactStore::Fields> cold_compiles;
-  {
-    auto store = std::make_shared<ArtifactStore>(store_config(file.path()));
+  SavedCaches(std::vector<frontend::SourceFile> judged,
+              std::vector<frontend::SourceFile> compiled)
+      : judged_(std::move(judged)), compiled_(std::move(compiled)) {}
+
+  /// Run the caches cold against a fresh store at `path` and save it.
+  void save(const std::string& path) {
+    std::vector<std::size_t> ends;
+    auto store = std::make_shared<ArtifactStore>(store_config(path));
+    const auto saved_size = [&store, &path] {
+      EXPECT_TRUE(store->save());
+      return static_cast<std::size_t>(std::filesystem::file_size(path));
+    };
+    header_end = saved_size();
     judge::JudgeCacheConfig judge_config;
     judge_config.store = store;
-    const judge::Llmj judge(client, style, judge_config);
-    for (const auto& source : judged) {
+    const judge::Llmj judge(client_, style_, judge_config);
+    for (const auto& source : judged_) {
       cold_decisions.push_back(judge.evaluate(source));
+      ends.push_back(saved_size());
     }
     CompileCacheConfig compile_config;
     compile_config.store = store;
     const toolchain::CompilerDriver driver(
-        persona, std::make_shared<CompileCache>(compile_config, driver_fp));
-    for (const auto& source : compiled) {
+        persona_, std::make_shared<CompileCache>(compile_config, driver_fp_));
+    for (const auto& source : compiled_) {
       cold_compiles.push_back(encode_compile_result(driver.compile(source)));
+      ends.push_back(saved_size());
     }
-    ASSERT_TRUE(store->save());
+    bytes = testutil::read_bytes(path);
+    const ArtifactStore full(store_config(path));
+    std::size_t begin = header_end;
+    for (const std::size_t end : ends) {
+      Record record;
+      record.begin = begin;
+      record.end = end;
+      record.id = testutil::read_record_id(bytes, begin);
+      const auto fields =
+          full.get(record.id.ns, record.id.key, record.id.check);
+      EXPECT_TRUE(fields.has_value()) << "record at " << begin;
+      if (fields) record.fields = *fields;
+      records.push_back(std::move(record));
+      begin = end;
+    }
+    EXPECT_EQ(begin, bytes.size());
   }
-  std::string bytes;
-  {
-    std::ifstream in(file.path(), std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_LT(bytes.size(), 8192u) << "keep the records small";
 
-  // The record lines, in file order, with the fields a full load serves.
-  struct Line {
-    std::size_t begin = 0;  ///< first byte of the line
-    std::size_t end = 0;    ///< its '\n'
-    std::string ns;
-    std::uint64_t key = 0;
-    std::uint64_t check = 0;
-    ArtifactStore::Fields fields;
-  };
-  const ArtifactStore full(store_config(file.path()));
-  const std::size_t header_end = bytes.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  std::vector<Line> lines;
-  for (std::size_t begin = header_end + 1; begin < bytes.size();) {
-    Line line;
-    line.begin = begin;
-    line.end = bytes.find('\n', begin);
-    ASSERT_NE(line.end, std::string::npos);
-    const auto object = parse_json_object_line(
-        bytes.substr(begin, line.end - begin));
-    ASSERT_TRUE(object.has_value());
-    line.ns = object->at("ns").string;
-    line.key = std::stoull(object->at("key").string, nullptr, 16);
-    line.check = std::stoull(object->at("check").string, nullptr, 16);
-    const auto fields = full.get(line.ns, line.key, line.check);
-    ASSERT_TRUE(fields.has_value());
-    line.fields = *fields;
-    lines.push_back(std::move(line));
-    begin = lines.back().end + 1;
+  /// Whether `store` serves each record; every record it serves must be
+  /// exactly the saved one.
+  std::vector<bool> served_by(const ArtifactStore& store,
+                              const std::string& where) const {
+    std::vector<bool> served(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const auto& id = records[i].id;
+      const auto got = store.get(id.ns, id.key, id.check);
+      served[i] = got.has_value();
+      if (got) {
+        EXPECT_EQ(*got, records[i].fields) << where;
+      }
+    }
+    return served;
   }
-  ASSERT_EQ(lines.size(), 4u);
+
+  /// Judge and compile through caches backed by `store`: each result is
+  /// the cold one, and is persisted exactly when its record is `served`.
+  void expect_caches_serve_cold(const std::shared_ptr<ArtifactStore>& store,
+                                const std::vector<bool>& served,
+                                const std::string& where) const {
+    judge::JudgeCacheConfig judge_config;
+    judge_config.store = store;
+    const judge::Llmj judge(client_, style_, judge_config);
+    for (std::size_t i = 0; i < judged_.size(); ++i) {
+      const auto warm = judge.evaluate(judged_[i]);
+      const auto& cold = cold_decisions[i];
+      EXPECT_EQ(warm.persisted, served[i]) << where;
+      EXPECT_EQ(warm.verdict, cold.verdict) << where;
+      EXPECT_EQ(warm.says_valid, cold.says_valid) << where;
+      EXPECT_EQ(warm.prompt, cold.prompt) << where;
+      EXPECT_EQ(warm.completion.text, cold.completion.text) << where;
+      EXPECT_EQ(warm.completion.prompt_tokens, cold.completion.prompt_tokens)
+          << where;
+      EXPECT_EQ(warm.completion.completion_tokens,
+                cold.completion.completion_tokens)
+          << where;
+      EXPECT_EQ(warm.completion.latency_seconds,
+                cold.completion.latency_seconds)
+          << where;
+    }
+    CompileCacheConfig compile_config;
+    compile_config.store = store;
+    const toolchain::CompilerDriver driver(
+        persona_, std::make_shared<CompileCache>(compile_config, driver_fp_));
+    for (std::size_t i = 0; i < compiled_.size(); ++i) {
+      const auto warm = driver.compile(compiled_[i]);
+      EXPECT_EQ(warm.persisted, served[judged_.size() + i]) << where;
+      EXPECT_EQ(encode_compile_result(warm), cold_compiles[i]) << where;
+    }
+  }
+
+  std::string bytes;
+  std::size_t header_end = 0;
+  std::vector<Record> records;
+  std::vector<judge::JudgeDecision> cold_decisions;
+  std::vector<ArtifactStore::Fields> cold_compiles;
+
+ private:
+  std::shared_ptr<llm::ModelClient> client_ =
+      std::make_shared<llm::ModelClient>(
+          std::make_shared<const llm::SimulatedCoderModel>(), 1);
+  llm::PromptStyle style_ = llm::PromptStyle::kDirectAnalysis;
+  toolchain::CompilerConfig persona_ = toolchain::nvc_persona();
+  std::uint64_t driver_fp_ = toolchain::driver_fingerprint(persona_);
+  std::vector<frontend::SourceFile> judged_;
+  std::vector<frontend::SourceFile> compiled_;
+};
+
+frontend::SourceFile tiny_file(const char* name, const char* content) {
+  frontend::SourceFile file;
+  file.name = name;
+  file.content = content;
+  return file;
+}
+
+// A crash can leave the file cut anywhere. Cut a real store (two judge and
+// two compile records) at every byte offset: a cut header cold-starts,
+// every record present is either loaded or counted corrupt, a loaded
+// record is exactly the saved one, and the judge and compile caches that
+// read through to the store serve exactly the cold decision and compile.
+TEST(ArtifactStoreTest, TruncationAtEveryOffsetNeverMisServes) {
+  SavedCaches saved({tiny_file("a.c", "int main() { return 0; }\n"),
+                     tiny_file("b.c", "int main() { return 1; }\n")},
+                    {tiny_file("c.c", "int main() { return 2; }\n"),
+                     // a failing compile
+                     tiny_file("d.c", "int main( { return 3; }\n")});
+  TempFile file("truncate");
+  saved.save(file.path());
+  const std::string& bytes = saved.bytes;
+  ASSERT_LT(bytes.size(), 8192u) << "keep the records small";
+  ASSERT_EQ(saved.records.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(lines[i].ns, i < 2 ? "judge" : "compile") << i;
+    EXPECT_EQ(saved.records[i].id.ns, i < 2 ? "judge" : "compile") << i;
   }
 
   TempFile cut("truncate-cut");
   for (std::size_t k = 0; k <= bytes.size(); ++k) {
-    {
-      std::ofstream out(cut.path(), std::ios::trunc | std::ios::binary);
-      out << bytes.substr(0, k);
-    }
+    const std::string where = "cut at " + std::to_string(k);
+    write_bytes(cut.path(), bytes.substr(0, k));
     auto store = std::make_shared<ArtifactStore>(store_config(cut.path()));
     const StoreLoadReport& report = store->load_report();
-    if (k < header_end) {
-      EXPECT_TRUE(report.cold_start) << "cut at " << k;
-      EXPECT_EQ(store->size(), 0u) << "cut at " << k;
+    if (k < saved.header_end) {
+      EXPECT_TRUE(report.cold_start) << where;
+      EXPECT_EQ(store->size(), 0u) << where;
     } else {
-      EXPECT_FALSE(report.cold_start) << "cut at " << k;
+      EXPECT_FALSE(report.cold_start) << where;
       std::size_t present = 0;
       std::size_t complete = 0;
-      for (const Line& line : lines) {
-        if (k > line.begin) ++present;
-        if (k >= line.end) ++complete;
+      for (const auto& record : saved.records) {
+        if (k > record.begin) ++present;
+        if (k >= record.end) ++complete;
       }
-      EXPECT_EQ(report.loaded + report.corrupt_lines, present)
-          << "cut at " << k;
-      EXPECT_EQ(report.loaded, complete) << "cut at " << k;
+      EXPECT_EQ(report.loaded + report.corrupt_records, present) << where;
+      EXPECT_EQ(report.loaded, complete) << where;
     }
-    std::vector<bool> served(lines.size());
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const auto got = store->get(lines[i].ns, lines[i].key, lines[i].check);
-      served[i] = got.has_value();
-      if (got) {
-        EXPECT_EQ(*got, lines[i].fields) << "cut at " << k;
-      }
-    }
+    saved.expect_caches_serve_cold(store, saved.served_by(*store, where),
+                                   where);
+  }
+}
 
-    judge::JudgeCacheConfig judge_config;
-    judge_config.store = store;
-    const judge::Llmj judge(client, style, judge_config);
-    for (std::size_t i = 0; i < judged.size(); ++i) {
-      const auto warm = judge.evaluate(judged[i]);
-      const auto& cold = cold_decisions[i];
-      EXPECT_EQ(warm.persisted, served[i]) << "cut at " << k;
-      EXPECT_EQ(warm.verdict, cold.verdict) << "cut at " << k;
-      EXPECT_EQ(warm.says_valid, cold.says_valid) << "cut at " << k;
-      EXPECT_EQ(warm.prompt, cold.prompt) << "cut at " << k;
-      EXPECT_EQ(warm.completion.text, cold.completion.text) << "cut at " << k;
-      EXPECT_EQ(warm.completion.prompt_tokens, cold.completion.prompt_tokens)
-          << "cut at " << k;
-      EXPECT_EQ(warm.completion.completion_tokens,
-                cold.completion.completion_tokens)
-          << "cut at " << k;
-      EXPECT_EQ(warm.completion.latency_seconds,
-                cold.completion.latency_seconds)
-          << "cut at " << k;
+// A flipped bit anywhere in a saved store (one judge and one compile
+// record) is never served: a damaged header cold-starts, a damaged record
+// fails its checksum and ends the load, and the records before it still
+// load. Every record served, straight from the store or through the judge
+// and compile caches, is exactly the saved one.
+TEST(ArtifactStoreTest, ByteFlipAtEveryOffsetNeverMisServes) {
+  SavedCaches saved({tiny_file("a.c", "int main() { return 0; }\n")},
+                    {tiny_file("c.c", "int main() { return 2; }\n")});
+  TempFile file("flip");
+  saved.save(file.path());
+  const std::string& bytes = saved.bytes;
+  ASSERT_LT(bytes.size(), 8192u) << "keep the records small";
+  ASSERT_EQ(saved.records.size(), 2u);
+  EXPECT_EQ(saved.records[0].id.ns, "judge");
+  EXPECT_EQ(saved.records[1].id.ns, "compile");
+
+  TempFile flipped("flip-bit");
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    // Every offset, and every bit position across consecutive offsets.
+    const int bit = static_cast<int>(k % 8);
+    const std::string where =
+        "bit " + std::to_string(bit) + " of byte " + std::to_string(k);
+    std::string damaged = bytes;
+    damaged[k] = static_cast<char>(damaged[k] ^ (1 << bit));
+    write_bytes(flipped.path(), damaged);
+    auto store = std::make_shared<ArtifactStore>(store_config(flipped.path()));
+    const StoreLoadReport& report = store->load_report();
+    if (k < saved.header_end) {
+      EXPECT_TRUE(report.cold_start) << where;
+      EXPECT_EQ(store->size(), 0u) << where;
+    } else {
+      std::size_t before = 0;
+      for (const auto& record : saved.records) {
+        if (record.end <= k) ++before;
+      }
+      EXPECT_FALSE(report.cold_start) << where;
+      EXPECT_EQ(report.loaded, before) << where;
+      EXPECT_EQ(report.corrupt_records, 1u) << where;
     }
-    CompileCacheConfig compile_config;
-    compile_config.store = store;
-    const toolchain::CompilerDriver driver(
-        persona, std::make_shared<CompileCache>(compile_config, driver_fp));
-    for (std::size_t i = 0; i < compiled.size(); ++i) {
-      const auto warm = driver.compile(compiled[i]);
-      EXPECT_EQ(warm.persisted, served[judged.size() + i]) << "cut at " << k;
-      EXPECT_EQ(encode_compile_result(warm), cold_compiles[i])
-          << "cut at " << k;
-    }
+    saved.expect_caches_serve_cold(store, saved.served_by(*store, where),
+                                   where);
   }
 }
 

@@ -18,7 +18,6 @@
 #include "judge/judge.hpp"
 #include "llm/coder_model.hpp"
 #include "pipeline/validation_pipeline.hpp"
-#include "support/jsonl.hpp"
 #include "tests/test_util.hpp"
 
 namespace llm4vv::judge {
@@ -186,6 +185,8 @@ TEST(JudgePersistenceTest, CorruptTailRecoversRemainingRecords) {
   TempFile file("corrupt");
   const auto file_a = sample_file(10);
   const auto file_b = sample_file(11);
+  std::string two_records;
+  std::string three_records;
   {
     JudgeCacheConfig config;
     config.store = make_store(file.path());
@@ -194,16 +195,22 @@ TEST(JudgePersistenceTest, CorruptTailRecoversRemainingRecords) {
     (void)judge.evaluate(file_a);
     (void)judge.evaluate(file_b);
     ASSERT_TRUE(config.store->save());
+    two_records = testutil::read_bytes(file.path());
+    (void)judge.evaluate(sample_file(12));
+    ASSERT_TRUE(config.store->save());
+    three_records = testutil::read_bytes(file.path());
   }
+  ASSERT_GT(three_records.size(), two_records.size());
   {
-    // Crash-like truncated tail plus binary garbage.
-    std::ofstream out(file.path(), std::ios::app);
-    out << R"({"ns":"judge","key":"00ff","check":"00ff","f_style":")";
+    // Crash-like tail: the third record cut in the middle.
+    std::ofstream out(file.path(), std::ios::trunc | std::ios::binary);
+    out << three_records.substr(
+        0, (two_records.size() + three_records.size()) / 2);
   }
   JudgeCacheConfig config;
   config.store = make_store(file.path());
   EXPECT_FALSE(config.store->load_report().cold_start);
-  EXPECT_EQ(config.store->load_report().corrupt_lines, 1u);
+  EXPECT_EQ(config.store->load_report().corrupt_records, 1u);
   EXPECT_EQ(config.store->load_report().loaded, 2u);
   const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis, config);
   EXPECT_TRUE(judge.evaluate(file_a).persisted);
@@ -253,7 +260,7 @@ TEST(JudgePersistenceTest, ConcurrentSaveWhileEvaluating) {
   JudgeCacheConfig reload;
   reload.store = make_store(file.path());
   EXPECT_FALSE(reload.store->load_report().cold_start);
-  EXPECT_EQ(reload.store->load_report().corrupt_lines, 0u);
+  EXPECT_EQ(reload.store->load_report().corrupt_records, 0u);
   EXPECT_EQ(reload.store->load_report().loaded, unique_keys);
   const Llmj warm(make_client(), llm::PromptStyle::kDirectAnalysis, reload);
   for (std::uint64_t i = 0; i < 30; ++i) {
@@ -329,40 +336,36 @@ TEST(JudgePersistenceTest, ClearCacheKeepsTheStoreTier) {
   EXPECT_EQ(judge.cache_stats().misses, 1u);
 }
 
-// Records saved before the judge stopped persisting the prompt carry an
-// `f_prompt` field. They still decode; the prompt is rebuilt, so the warm
-// decision is byte-identical to the cold one.
+// A judge record that also carries a `prompt` field, as the judge wrote
+// records before it stopped persisting the prompt, still decodes; the
+// prompt is rebuilt, so the warm decision is byte-identical to the cold
+// one.
 TEST(JudgePersistenceTest, RecordWithOldPromptFieldStillServes) {
   TempFile file("old-format");
   const auto source = sample_file(12);
   JudgeDecision cold;
+  std::size_t header_end = 0;
   {
     JudgeCacheConfig config;
     config.store = make_store(file.path());
+    ASSERT_TRUE(config.store->save());
+    header_end = std::filesystem::file_size(file.path());
     const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis,
                      config);
     cold = judge.evaluate(source);
     ASSERT_TRUE(config.store->save());
   }
-  // Rewrite the record line as the older encoder wrote it.
-  std::string header;
-  std::string record;
+  // Rewrite the record with the field the older encoder wrote.
   {
-    std::ifstream in(file.path());
-    ASSERT_TRUE(std::getline(in, header));
-    ASSERT_TRUE(std::getline(in, record));
-  }
-  const auto object = support::parse_json_object_line(record);
-  ASSERT_TRUE(object.has_value());
-  ASSERT_EQ(object->count("f_prompt"), 0u);
-  support::JsonObject old_record;
-  for (const auto& [name, value] : *object) {
-    old_record.field(name, value.string);
-  }
-  old_record.field("f_prompt", cold.prompt);
-  {
-    std::ofstream out(file.path(), std::ios::trunc);
-    out << header << '\n' << old_record.str() << '\n';
+    const auto id =
+        testutil::read_record_id(testutil::read_bytes(file.path()), header_end);
+    auto store = make_store(file.path());
+    auto fields = store->get(id.ns, id.key, id.check);
+    ASSERT_TRUE(fields.has_value());
+    ASSERT_EQ(fields->count("prompt"), 0u);
+    (*fields)["prompt"] = cold.prompt;
+    store->put(id.ns, id.key, id.check, *fields);
+    ASSERT_TRUE(store->save());
   }
 
   JudgeCacheConfig config;

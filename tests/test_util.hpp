@@ -3,6 +3,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -88,7 +90,7 @@ class TempFile {
     static std::atomic<int> counter{0};
     path_ = (std::filesystem::temp_directory_path() /
              ("llm4vv_test_" + std::to_string(::getpid()) + "_" + tag + "_" +
-              std::to_string(counter.fetch_add(1)) + ".jsonl"))
+              std::to_string(counter.fetch_add(1)) + ".store"))
                 .string();
   }
   ~TempFile() {
@@ -103,6 +105,40 @@ class TempFile {
  private:
   std::string path_;
 };
+
+/// A file's bytes (the store tests cut, flip and rewrite saved stores).
+inline std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Namespace, key and check of the artifact-store record that starts at
+/// byte `begin` of a saved store, read from the record's fixed prefix:
+/// u32 size, u64 key, u64 check, then the namespace as a u32 length and
+/// its bytes, all little-endian (docs/CACHING.md). Tests find where a
+/// record begins from the sizes of successive saves, not from the file.
+struct StoredRecordId {
+  std::string ns;
+  std::uint64_t key = 0;
+  std::uint64_t check = 0;
+};
+
+inline StoredRecordId read_record_id(const std::string& bytes,
+                                     std::size_t begin) {
+  const auto le = [&bytes](std::size_t at, int width) {
+    std::uint64_t value = 0;
+    for (int i = width - 1; i >= 0; --i) {
+      value = value << 8 | static_cast<unsigned char>(bytes.at(at + i));
+    }
+    return value;
+  };
+  StoredRecordId id;
+  id.key = le(begin + 4, 8);
+  id.check = le(begin + 12, 8);
+  id.ns = bytes.substr(begin + 24, le(begin + 20, 4));
+  return id;
+}
 
 /// A simulated coder model whose generate() calls block at a gate until
 /// the test releases it — the standard way to deterministically park
